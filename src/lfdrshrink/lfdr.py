@@ -37,7 +37,7 @@ DEFAULT_BINS = 120
 # shoulder enough to cost interval coverage downstream.
 DEFAULT_DEGREE = 6
 
-# clamp for the inner CDF value so the normal quantile stays finite
+# clamp for the inner tail value so the normal quantile stays finite
 _PROBIT_EPS = 1e-15
 
 
@@ -100,11 +100,16 @@ class LfdrEstimate:
 def probit_transform(t_stat, df):
     """Map a t statistic to the z scale; z ~ N(0,1) under a true null.
 
-    The inner CDF value is clamped away from {0, 1} so extreme statistics
-    map to finite z rather than raising.
+    z is computed from the lower tail F(-|t|) and given the sign of t, so
+    both tails keep full precision and z(-t) = -z(t) exactly. The tail
+    value is clamped away from 0 so extreme statistics map to finite z
+    rather than raising.
     """
-    p = np.clip(student_t_cdf(t_stat, df), _PROBIT_EPS, 1.0 - _PROBIT_EPS)
-    return normal_quantile(p)
+    t_arr = np.asarray(t_stat, dtype=np.float64)
+    lower = np.maximum(student_t_cdf(-np.abs(t_arr), df), _PROBIT_EPS)
+    z = normal_quantile(lower)
+    out = np.where(t_arr > 0.0, -z, z)
+    return float(out) if out.ndim == 0 else out
 
 
 def _poisson_irls(

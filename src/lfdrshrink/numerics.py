@@ -5,11 +5,24 @@ beta function they rest on, and a guarded bisection inverter. Everything
 here is a pure function: floats in, floats out, numpy arrays accepted and
 returned elementwise. No global state.
 
-Methods: Lanczos series for the log-gamma function, a Lentz-style
-continued fraction for the incomplete beta, Cody's rational
-approximations for erfc, and Acklam's rational approximation (plus one
-Halley polish) for the normal quantile. The t quantile is solved by
-safeguarded Newton iteration on the t CDF.
+The t functions work with the tail probability P(T > |t|): the CDF takes
+both tails from it, and the quantile solves it for q = min(p, 1 - p), so
+tiny lower-tail probabilities keep full relative precision. The tail is
+chosen per lane from df:
+
+- integer df up to 64 use exact kernels: atan2(1, |t|) / pi for df = 1,
+  1 / (r (r + |t|)) with r = sqrt(2 + t^2) for df = 2, and otherwise the
+  finite series of Abramowitz & Stegun 26.7.3-4, or its convergent
+  complement where the finite sum would cancel;
+- other df up to 3000 use a Lentz-style continued fraction for the
+  incomplete beta, and larger df a corrected normal limit.
+
+The t quantile is closed-form for df = 1 and df = 2. Other df start from
+Hill's expansion (1970, CACM Algorithm 396) and are polished by
+safeguarded Newton steps on the tail that iterate only the lanes that
+have not converged. Also used: a Lanczos series for the log-gamma
+function, Cody's rational approximations for erfc, and Acklam's rational
+approximation (plus one Halley polish) for the normal quantile.
 """
 
 from __future__ import annotations
@@ -56,6 +69,18 @@ _LANCZOS = (
 # corrections (absolute error <= 4e-11 at the boundary, shrinking as df
 # grows, and strictly monotone in t for every df).
 _T_NORMAL_LIMIT_DF = 3000.0
+
+# Integer df up to this bound take the exact finite-series tail; above it
+# the series needs more terms than the continued fraction it replaces.
+# On 1e5 lanes of |t| drawn from t_df (and of twice those values) the
+# series ran 4.7x (2.0x) faster at df = 30, 3.4x (1.2x) at df = 64, and
+# broke even between df = 80 and df = 100.
+_T_EXACT_MAX_DF = 64.0
+
+# Below this share of its leading term the finite series has cancelled
+# about 7 bits (relative error <= 4e-14 up to df = 30); smaller tails
+# switch to the complement series.
+_T_SERIES_SWITCH = 0.01
 
 
 def _maybe_scalar(out: np.ndarray, *inputs) -> float | np.ndarray:
@@ -171,32 +196,129 @@ def regularized_incomplete_beta(a, b, x, *, max_iter: int = 300, tol: float = 1e
     return _maybe_scalar(out, a, b, x)
 
 
-def _t_cdf_normal_limit(t: np.ndarray, df: np.ndarray) -> np.ndarray:
-    # Asymptotic normal deformation of the t CDF; used only for huge df.
+def _t_tail_normal_limit(a: np.ndarray, df: np.ndarray) -> np.ndarray:
+    # Asymptotic normal deformation of the t CDF, evaluated at -a; used
+    # only for huge df.
     z = (
-        t
-        - (t**3 + t) / (4.0 * df)
-        + (13.0 * t**5 + 8.0 * t**3 + 3.0 * t) / (96.0 * df * df)
+        a
+        - (a**3 + a) / (4.0 * df)
+        + (13.0 * a**5 + 8.0 * a**3 + 3.0 * a) / (96.0 * df * df)
     )
-    return _normal_cdf_array(z)
+    return _normal_cdf_array(-z)
+
+
+def _t_tail_beta(a: np.ndarray, df: np.ndarray) -> np.ndarray:
+    # P(T > a) = I_x(df/2, 1/2) / 2 = 1/2 - I_y(1/2, df/2) / 2 with
+    # x = df / (df + a^2) and y = a^2 / (df + a^2); the second form keeps
+    # y exact where x rounds towards 1
+    v = df + a * a
+    near = a * a < df
+    r = regularized_incomplete_beta(
+        np.where(near, 0.5, 0.5 * df),
+        np.where(near, 0.5 * df, 0.5),
+        np.where(near, a * a, df) / v,
+    )
+    return np.where(near, 0.5 - 0.5 * r, 0.5 * r)
+
+
+def _t_tail_series(a: np.ndarray, df: np.ndarray) -> np.ndarray:
+    """P(T > a) for integer df >= 3 from the A&S 26.7.3-4 finite series.
+
+    With u = df / (df + a^2), K = floor(df / 2), o = df mod 2 and
+    coefficients c_0 = 1, c_k = c_{k-1} (2k + o - 1) / (2k + o),
+
+        P = head - pre * sum_{k<K} c_k u^k = pre * sum_{k>=K} c_k u^k,
+
+    where head = 1/2, pre = sqrt(1 - u) / 2 for even df and
+    head = atan2(sqrt(df), a) / pi, pre = sqrt(u (1 - u)) / pi for odd df.
+    The finite form cancels as P -> 0; lanes where it drops below
+    _T_SERIES_SWITCH * head take the complement, a sum of positive terms.
+    """
+    a = np.minimum(a, 1e150)  # keeps a^2 finite; the tail is 0 from here
+    v = df + a * a
+    u = df / v
+    half = np.floor(0.5 * df)
+    odd = df - 2.0 * half
+    root_df = np.sqrt(df)
+    head = np.where(odd == 1.0, np.arctan2(root_df, a) / math.pi, 0.5)
+    pre = np.where(odd == 1.0, a * root_df / (math.pi * v), 0.5 * a / np.sqrt(v))
+
+    term = np.ones_like(a)
+    total = np.ones_like(a)
+    for k in range(1, int(half.max())):
+        live = k < half
+        term = np.where(live, term * u * ((2 * k - 1 + odd) / (2 * k + odd)), term)
+        total = np.where(live, total + term, total)
+    out = head - pre * total
+
+    comp = np.flatnonzero(out < _T_SERIES_SWITCH * head)
+    if comp.size:
+        u, k, odd = u[comp], half[comp], odd[comp]
+        term = term[comp] * u * ((2.0 * k - 1.0 + odd) / (2.0 * k + odd))
+        total = term.copy()
+        # the terms fall faster than u^k, so stopping at term <= eps/2 *
+        # (1 - u) * total truncates less than eps/2 of the sum
+        tol = 0.5 * np.finfo(np.float64).eps * (v[comp] - df[comp]) / v[comp]
+        act = np.flatnonzero(term > tol * total)
+        while act.size:
+            k[act] += 1.0
+            ka = k[act]
+            step = term[act] * u[act] * ((2.0 * ka - 1.0 + odd[act]) / (2.0 * ka + odd[act]))
+            term[act] = step
+            total[act] += step
+            act = act[step > tol[act] * total[act]]
+        out[comp] = pre[comp] * total
+    return out
+
+
+def _t_tail_integer(a: np.ndarray, df: np.ndarray) -> np.ndarray:
+    out = np.empty_like(a)
+    cauchy = df == 1.0
+    if np.any(cauchy):
+        out[cauchy] = np.arctan2(1.0, a[cauchy]) / math.pi
+    two = df == 2.0
+    if np.any(two):
+        a2 = a[two]
+        r = np.sqrt(2.0 + a2 * a2)
+        out[two] = 1.0 / (r * (r + a2))
+    rest = df >= 3.0
+    if np.any(rest):
+        out[rest] = _t_tail_series(a[rest], df[rest])
+    return out
+
+
+def _t_tail(a: np.ndarray, df: np.ndarray) -> np.ndarray:
+    """Upper tail P(T > a) for a >= 0; the method is chosen per lane from df."""
+    exact = (df <= _T_EXACT_MAX_DF) & (df == np.floor(df))
+    if np.all(exact):
+        return _t_tail_integer(a, df)
+    large = df > _T_NORMAL_LIMIT_DF
+    out = np.empty_like(a)
+    for lanes, kernel in (
+        (exact, _t_tail_integer),
+        (large, _t_tail_normal_limit),
+        (~exact & ~large, _t_tail_beta),
+    ):
+        if np.any(lanes):
+            out[lanes] = kernel(a[lanes], df[lanes])
+    return out
 
 
 def student_t_cdf(t, df):
-    """CDF of the central Student t distribution with df > 0."""
+    """CDF of the central Student t distribution with df > 0.
+
+    Both tails come from P(T > |t|), so F(t) for t < 0 keeps full
+    relative precision however small it is.
+    """
     t_arr, df_arr = np.broadcast_arrays(
         np.asarray(t, dtype=np.float64), np.asarray(df, dtype=np.float64)
     )
     if not np.all(df_arr > 0.0):
         raise DomainError("student_t_cdf requires df > 0")
 
-    large = df_arr > _T_NORMAL_LIMIT_DF
-    df_cf = np.where(large, 1.0, df_arr)  # placeholder in large-df lanes
-    x = df_cf / (df_cf + t_arr * t_arr)
-    tail = 0.5 * regularized_incomplete_beta(df_cf / 2.0, 0.5, x)
+    tail = _t_tail(np.abs(t_arr).reshape(-1), df_arr.reshape(-1)).reshape(t_arr.shape)
     out = np.where(t_arr > 0.0, 1.0 - tail, tail)
     out = np.where(t_arr == 0.0, 0.5, out)
-    if np.any(large):
-        out = np.where(large, _t_cdf_normal_limit(t_arr, df_arr), out)
     return _maybe_scalar(out, t, df)
 
 
@@ -209,11 +331,92 @@ def _t_log_pdf(t: np.ndarray, df: np.ndarray) -> np.ndarray:
     )
 
 
+def _cauchy_tail_quantile(q: np.ndarray) -> np.ndarray:
+    # 1 / tan(pi q), written as tan(pi (1/2 - q)) where 1/2 - q is exact
+    with np.errstate(divide="ignore"):
+        return np.where(
+            q < 0.25, 1.0 / np.tan(math.pi * q), np.tan(math.pi * (0.5 - q))
+        )
+
+
+def _hill_tail_quantile(q: np.ndarray, df: np.ndarray) -> np.ndarray:
+    """Hill (1970, CACM Algorithm 396) approximation to t with P(T > t) = q.
+
+    Valid for df >= 1; the normal-expansion branch covers the body, the
+    other branch the far tail.
+    """
+    p2 = 2.0 * q  # two-sided probability
+    a = 1.0 / (df - 0.5)
+    b = 48.0 / (a * a)
+    c = ((20700.0 * a / b - 98.0) * a - 16.0) * a + 96.36
+    d = ((94.5 / (b + c) - 3.0) / b + 1.0) * np.sqrt(a * math.pi / 2.0) * df
+    y = (d * p2) ** (2.0 / df)
+
+    # both branches are evaluated everywhere; each overflows only where the
+    # other is used
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = _normal_quantile_array(q)
+        x2 = x * x
+        c = c + np.where(df < 5.0, 0.3 * (df - 4.5) * (x + 0.6), 0.0)
+        c = (((0.05 * d * x - 5.0) * x - 7.0) * x - 2.0) * x + b + c
+        body = (((((0.4 * x2 + 6.3) * x2 + 36.0) * x2 + 94.5) / c - x2 - 3.0) / b + 1.0) * x
+        body = np.expm1(a * body * body)
+        far = (
+            (1.0 / (((df + 6.0) / (df * y) - 0.089 * d - 0.822) * (df + 2.0) * 3.0)
+             + 0.5 / (df + 4.0)) * y - 1.0
+        ) * (df + 1.0) / (df + 2.0) + 1.0 / y
+    use_body = (y > 0.05 + a) | ((df < 2.1) & (p2 > 0.5))
+    return np.sqrt(df * np.where(use_body, body, far))
+
+
+def _t_tail_quantile_newton(t0, q, df) -> np.ndarray:
+    """Polish t0 towards P(T > t) = q by safeguarded Newton steps.
+
+    Only the lanes that have not converged are evaluated (an active set);
+    each lane's iterates do not depend on the other lanes.
+    """
+    lo = np.zeros_like(t0)  # P(T > 0) = 1/2 >= q
+    hi = t0 + 1.0
+    act = np.arange(t0.size)
+    for _ in range(200):
+        act = act[student_t_cdf(-hi[act], df[act]) > q[act]]
+        if not act.size:
+            break
+        lo[act] = hi[act]
+        hi[act] *= 2.0
+    else:
+        raise NumericError("student_t_quantile could not bracket the target")
+
+    t = np.clip(t0, lo, hi)
+    act = np.arange(t0.size)
+    for _ in range(100):
+        ta, da, qa = t[act], df[act], q[act]
+        err = student_t_cdf(-ta, da) - qa  # > 0 while ta is short of the root
+        la = np.where(err > 0.0, ta, lo[act])
+        ha = np.where(err < 0.0, ta, hi[act])
+        done = (np.abs(err) <= 1e-13 * qa) | ((ha - la) <= 1e-15 * np.maximum(1.0, ta))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            t_new = ta + err * np.exp(-_t_log_pdf(ta, da))
+        bad = ~np.isfinite(t_new) | (t_new <= la) | (t_new >= ha)
+        t_new = np.where(bad, 0.5 * (la + ha), t_new)
+        keep = ~done
+        act = act[keep]
+        if not act.size:
+            break
+        t[act] = t_new[keep]
+        lo[act] = la[keep]
+        hi[act] = ha[keep]
+    return t
+
+
 def student_t_quantile(p, df):
     """Inverse of ``student_t_cdf`` in its first argument.
 
-    Solves cdf(t) = p by safeguarded Newton iteration inside an expanding
-    bisection bracket; exact closed forms seed df = 1 and df = 2.
+    Solves P(T > t) = q for the tail probability q = min(p, 1 - p) and
+    applies the sign of p - 1/2, so tiny p keep full relative precision.
+    df = 1 and df = 2 are closed forms; other df start from Hill's
+    expansion (df < 1 from the Cauchy quantile, which is smaller) and are
+    polished by Newton steps on the tail.
     """
     p_in, df_in = np.broadcast_arrays(
         np.asarray(p, dtype=np.float64), np.asarray(df, dtype=np.float64)
@@ -223,48 +426,24 @@ def student_t_quantile(p, df):
     if not np.all((p_in > 0.0) & (p_in < 1.0)):
         raise DomainError("student_t_quantile requires 0 < p < 1")
 
-    # solve in the upper half for symmetry, reflect at the end
-    flip = p_in < 0.5
-    pp = np.where(flip, 1.0 - p_in, p_in)
-    dfa = df_in.astype(np.float64)
+    pp = p_in.reshape(-1)
+    dfa = df_in.reshape(-1)
+    q = np.minimum(pp, 1.0 - pp)  # 1 - p is exact for p >= 1/2
 
-    z = _normal_quantile_array(pp)
-    t0 = z + (z**3 + z) / (4.0 * dfa) + (5.0 * z**5 + 16.0 * z**3 + 3.0 * z) / (
-        96.0 * dfa * dfa
-    )
-    t0 = np.where(dfa == 1.0, np.tan(math.pi * (pp - 0.5)), t0)
-    with np.errstate(divide="ignore"):
-        t0 = np.where(
-            dfa == 2.0, (2.0 * pp - 1.0) / np.sqrt(2.0 * pp * (1.0 - pp)), t0
-        )
+    t = _cauchy_tail_quantile(q)
+    two = dfa == 2.0
+    if np.any(two):
+        q2 = q[two]
+        t[two] = (1.0 - 2.0 * q2) / np.sqrt(2.0 * q2 * (1.0 - q2))
+    hill = (dfa > 1.0) & ~two
+    if np.any(hill):
+        t[hill] = _hill_tail_quantile(q[hill], dfa[hill])
+    solve = np.flatnonzero((dfa != 1.0) & ~two & (q < 0.5))
+    if solve.size:
+        t[solve] = _t_tail_quantile_newton(t[solve], q[solve], dfa[solve])
+    t[q == 0.5] = 0.0
 
-    lo = np.zeros_like(pp)  # cdf(0) = 0.5 <= pp
-    hi = np.maximum(t0, 0.0) + 1.0
-    step = np.ones_like(pp)
-    for _ in range(200):
-        need = student_t_cdf(hi, dfa) < pp
-        if not np.any(need):
-            break
-        hi = np.where(need, hi + step, hi)
-        step = np.where(need, 2.0 * step, step)
-    else:
-        raise NumericError("student_t_quantile could not bracket the target")
-
-    t_cur = np.clip(t0, lo, hi)
-    for _ in range(100):
-        f = student_t_cdf(t_cur, dfa)
-        err = f - pp
-        lo = np.where(err < 0.0, t_cur, lo)
-        hi = np.where(err > 0.0, t_cur, hi)
-        done = (np.abs(err) <= 1e-13) | ((hi - lo) <= 1e-12 * np.maximum(1.0, np.abs(t_cur)))
-        if np.all(done):
-            break
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            t_new = t_cur - err * np.exp(-_t_log_pdf(t_cur, dfa))
-        bad = ~np.isfinite(t_new) | (t_new <= lo) | (t_new >= hi)
-        t_cur = np.where(bad & ~done, 0.5 * (lo + hi), np.where(done, t_cur, t_new))
-
-    out = np.where(flip, -t_cur, t_cur)
+    out = np.where(pp < 0.5, -t, t).reshape(p_in.shape)
     return _maybe_scalar(out, p, df)
 
 

@@ -222,6 +222,18 @@ def _worker_count() -> int:
     return max(1, workers)
 
 
+def _stack(parts, count: int) -> list[np.ndarray]:
+    """Concatenate each column of ``count`` equal-length parts as they
+    arrive, so the parts and their concatenation are never held together."""
+    columns = None
+    for i, part in enumerate(parts):
+        if columns is None:
+            columns = [np.empty(count * col.size, dtype=col.dtype) for col in part]
+        for column, col in zip(columns, part):
+            column[i * col.size : (i + 1) * col.size] = col
+    return columns
+
+
 def run_study(cfg: SimConfig) -> CoverageReport:
     """Run every experiment and pool the tracked features.
 
@@ -232,13 +244,11 @@ def run_study(cfg: SimConfig) -> CoverageReport:
     workers = _worker_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda i: _run_one(cfg, i), indices))
+            columns = _stack(pool.map(lambda i: _run_one(cfg, i), indices), cfg.n_experiments)
     else:
-        parts = [_run_one(cfg, i) for i in indices]
+        columns = _stack((_run_one(cfg, i) for i in indices), cfg.n_experiments)
 
-    cov_m, cov_c, wid_m, wid_c, err_m, err_c = (
-        np.concatenate(column) for column in zip(*parts)
-    )
+    cov_m, cov_c, wid_m, wid_c, err_m, err_c = columns
     return CoverageReport(
         marginal_coverage=float(np.mean(cov_m)),
         conditional_coverage=float(np.mean(cov_c)),

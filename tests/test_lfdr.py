@@ -60,6 +60,26 @@ class TestProbitTransform:
             assert math.isfinite(z)
         assert probit_transform(1e16, 2.0) <= normal_quantile(1.0 - 1e-15)
 
+    def test_odd_symmetry_is_exact(self):
+        t = np.concatenate([np.logspace(-8.0, 8.0, 400), [0.0]])
+        for df in (1.0, 3.0, 7.0, 2.5):
+            np.testing.assert_array_equal(
+                probit_transform(-t, df), -probit_transform(t, df)
+            )
+
+    def test_both_tails_against_scipy(self):
+        # oracle: z = Phi^-1(1 - S(t)) from scipy's t survival function
+        stats = pytest.importorskip("scipy.stats")
+        t = np.logspace(-1.0, 6.0, 1500)
+        for df in (1, 3, 7):
+            sf = stats.t.sf(t, df)
+            keep = sf > 1e-15
+            ref = stats.norm.isf(sf[keep])
+            for sign in (1.0, -1.0):
+                z = probit_transform(sign * t[keep], float(df))
+                rel = np.abs(z - sign * ref) / ref
+                assert rel.max() <= 1e-13, (df, sign, rel.max())
+
     def test_null_statistics_look_standard_normal(self):
         # under a true null the transform is distribution-preserving:
         # t ~ t_df implies z ~ N(0,1)

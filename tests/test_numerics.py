@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from lfdrshrink.errors import BracketError, DomainError
 from lfdrshrink.numerics import (
@@ -37,6 +37,34 @@ def t_density(t: float, df: float) -> float:
     return math.exp(
         t_log_density_constant(df) - 0.5 * (df + 1.0) * math.log1p(t * t / df)
     )
+
+
+def t_tail_mpmath(t: float, df: float):
+    """P(T > |t|) at 50 digits: I_x(df/2, 1/2) / 2 with x = df / (df + t^2)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        t2 = mp.mpf(t) ** 2
+        df = mp.mpf(df)
+        return mp.betainc(df / 2, mp.mpf(1) / 2, 0, df / (df + t2), regularized=True) / 2
+
+
+def t_ppf_reference(p: float, df: int) -> float:
+    """Lower-tail t quantile: scipy where it is finite, else an mpmath root.
+
+    scipy's ppf overflows to -inf at p = 1e-300 for df >= 3; there the
+    reference solves log P(T > t) = log p at 50 digits.
+    """
+    ref = float(stats.t.ppf(p, df))
+    if math.isfinite(ref):
+        return ref
+    mp = pytest.importorskip("mpmath")
+    guess = df ** 0.5 * (p * df ** 0.5) ** (-1.0 / df)  # leading tail term
+    with mp.workdps(50):
+        root = mp.findroot(
+            lambda lt: mp.log(t_tail_mpmath(mp.exp(lt), df)) - mp.log(p),
+            mp.log(guess),
+        )
+        return -float(mp.exp(root))
 
 
 def t_cdf_by_quadrature(t: float, df: float) -> float:
@@ -163,6 +191,25 @@ class TestStudentTCdf:
         with pytest.raises(DomainError):
             student_t_cdf(1.0, 0.0)
 
+    def test_lower_tail_relative_error_integer_df(self):
+        # the continued fraction this kernel replaced reached 6.4e-14
+        # (df = 1) to 1.1e-12 (df = 30) on this grid
+        t = -np.concatenate([[0.0], np.logspace(-3.0, 6.0, 2000)])
+        for df in range(1, 31):
+            ref = stats.t.cdf(t, df)
+            rel = np.abs(student_t_cdf(t, float(df)) - ref) / ref
+            assert rel.max() <= 6e-14, (df, rel.max())
+
+    @pytest.mark.parametrize("df", [1.0, 2.0, 3.0, 7.0, 30.0, 64.0, 65.0, 2.5, 100.0])
+    def test_offset_from_half_near_zero(self, df):
+        # F(t) - 1/2 must not cancel for t near 0 (the continued fraction
+        # was off by 3.7e-11 at t = 1e-6, df = 3)
+        for t in (1e-12, 1e-9, 1e-6, 2.7567189773e-05, 1e-4, 1e-3, 0.1):
+            for sign in (1.0, -1.0):
+                ref = sign * float(0.5 - t_tail_mpmath(t, df))
+                got = student_t_cdf(sign * t, df) - 0.5
+                assert abs(got - ref) <= 1e-15, (df, sign * t, got, ref)
+
 
 class TestStudentTQuantile:
     def test_median_is_zero(self):
@@ -195,6 +242,16 @@ class TestStudentTQuantile:
         for bad in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(DomainError):
                 student_t_quantile(bad, 5.0)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 7])
+    def test_lower_tail_against_reference(self, df):
+        # reflecting p to 1 - p lost these: df = 3, p = 1e-15 gave -24131
+        # and p = 1e-17 raised a DomainError
+        for p in (1e-12, 1e-15, 1e-17, 1e-300):
+            got = student_t_quantile(p, float(df))
+            ref = t_ppf_reference(p, df)
+            assert math.isfinite(got)
+            assert abs(got - ref) <= 1e-12 * abs(ref), (p, got, ref)
 
 
 class TestNormal:
@@ -271,8 +328,18 @@ class TestVectorizationAndPurity:
         rng = np.random.default_rng(11)
         t = rng.uniform(-8.0, 8.0, 50)
         df = rng.uniform(0.5, 100.0, 50)
+        # integer-df lanes (closed forms, finite series, continued fraction
+        # above its bound) mixed into the same arrays
+        t = np.concatenate([t, rng.uniform(-30.0, 30.0, 40), [-1e6, 1e-6, 0.0]])
+        df = np.concatenate([df, rng.integers(1, 80, 40).astype(float), [3.0, 7.0, 2.0]])
         vec = student_t_cdf(t, df)
         scal = np.array([student_t_cdf(float(a), float(b)) for a, b in zip(t, df)])
+        np.testing.assert_array_equal(vec, scal)
+
+        p = student_t_cdf(np.abs(t) / 3.0, df) - rng.uniform(0.0, 0.5, t.size)
+        p = np.clip(p, 1e-20, 1.0 - 1e-12)
+        vec = student_t_quantile(p, df)
+        scal = np.array([student_t_quantile(float(a), float(b)) for a, b in zip(p, df)])
         np.testing.assert_array_equal(vec, scal)
 
     def test_scalar_inputs_return_floats(self):
