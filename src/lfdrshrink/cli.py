@@ -7,6 +7,12 @@ table plus optional plot-ready data files. ``simulate`` wraps the
 Monte-Carlo coverage study. All numbers serialize with 12 significant
 digits so written tables re-parse to the same values.
 
+The analyze path is columnar. ``read_matrix`` parses well-formed input as
+whole arrays and leaves anything else to a line-by-line parser whose
+errors name the line and column. ``AnalysisResult`` holds the feature ids
+and one array per report column, and every table is written from such
+columns in chunks of rows.
+
 Exit codes: 0 success, 2 usage error, 3 data/I-O error, 4 numeric or
 fitting error.
 """
@@ -35,7 +41,6 @@ from .simulation import (
 
 __all__ = [
     "InputMatrix",
-    "AnalysisRow",
     "AnalysisResult",
     "read_matrix",
     "analyze",
@@ -65,42 +70,40 @@ class InputMatrix:
 
 
 @dataclass(frozen=True)
-class AnalysisRow:
-    """One feature's estimates, in the report's column order."""
-
-    feature_id: str
-    mean: float
-    t: float
-    z: float
-    lfdr: float
-    median_conditional: float
-    median_marginal: float
-    ci_lo_conditional: float
-    ci_hi_conditional: float
-    ci_lo_marginal: float
-    ci_hi_marginal: float
-    conf_below: float
-    conf_at_null: float
-    conf_above: float
-    rank: int
-
-
-assert tuple(f.name for f in fields(AnalysisRow)) == REPORT_COLUMNS
-
-
-@dataclass(frozen=True)
 class AnalysisResult:
-    """Per-feature rows plus the shared mixture fit diagnostics."""
+    """Per-feature report columns plus the shared mixture fit diagnostics.
 
-    rows: list[AnalysisRow]
+    Every per-feature field is an array aligned with ``feature_ids``, in
+    input order; the fields after ``feature_ids`` are the report columns
+    after ``feature_id``, in report order.
+    """
+
+    feature_ids: tuple[str, ...]
+    mean: np.ndarray
+    t: np.ndarray
+    z: np.ndarray
+    lfdr: np.ndarray
+    median_conditional: np.ndarray
+    median_marginal: np.ndarray
+    ci_lo_conditional: np.ndarray
+    ci_hi_conditional: np.ndarray
+    ci_lo_marginal: np.ndarray
+    ci_hi_marginal: np.ndarray
+    conf_below: np.ndarray
+    conf_at_null: np.ndarray
+    conf_above: np.ndarray
+    rank: np.ndarray  # int64, 1 = top priority
     fit: MixtureFit
     theta0: float
     level: float
-    conditional_below: np.ndarray  # F_x(theta0) per feature, aligned with rows
+    conditional_below: np.ndarray  # F_x(theta0) per feature
 
     @property
     def pi0_hat(self) -> float:
         return self.fit.pi0_hat
+
+
+assert tuple(f.name for f in fields(AnalysisResult))[1 : len(REPORT_COLUMNS)] == REPORT_COLUMNS[1:]
 
 
 def _sniff_delimiter(header: str) -> str:
@@ -131,18 +134,30 @@ def read_matrix(
     replicate differences. With ``paired``, the named treatment/control
     column pairs are subtracted instead. Errors name 1-based line and
     column numbers.
+
+    Well-formed input is parsed as whole arrays; anything the columnar
+    parse is not sure of goes through the line-by-line parser, which
+    raises the errors.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+            text = handle.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    lines = [ln for ln in lines if ln.strip() != ""]
+    lines = [ln for ln in text.splitlines() if ln.strip() != ""]
     if not lines:
         raise DataError(f"{path}: empty input")
     if delimiter is None:
         delimiter = _sniff_delimiter(lines[0])
     header = lines[0].split(delimiter)
+    # whole-text facts the columnar parse rests on; the text itself is
+    # dropped before parsing
+    columnar = (
+        len(delimiter) == 1
+        and "\x1f" not in text
+        and text.count(delimiter) == len(lines) * (len(header) - 1)
+    )
+    del text
     if len(lines) < 2:
         raise DataError(f"{path}: no data rows after the header")
 
@@ -150,7 +165,7 @@ def read_matrix(
         missing = [name for pair in paired for name in pair if name not in header]
         if missing:
             raise DataError(f"paired columns not in header: {', '.join(missing)}")
-        treat_idx = [header.index(t) for t, _ in paired]
+        value_idx = [header.index(t) for t, _ in paired]
         control_idx = [header.index(c) for _, c in paired]
         if len(paired) < 2:
             raise DataError("paired mode needs at least 2 treatment/control pairs")
@@ -160,16 +175,79 @@ def read_matrix(
                 f"line 1: need a feature-id column plus at least 2 replicate columns, "
                 f"found {len(header)}"
             )
+        value_idx = list(range(1, len(header)))
+        control_idx = None
 
+    matrix = None
+    if columnar:
+        matrix = _parse_columnar(lines, delimiter, len(header), value_idx, control_idx)
+    if matrix is None:
+        matrix = _parse_lines(lines, delimiter, len(header), value_idx, control_idx)
+    if matrix.rows.shape[1] < 2:
+        raise DataError("need at least 2 replicate differences per feature")
+    return matrix
+
+
+def _parse_columnar(
+    lines: list[str],
+    delimiter: str,
+    ncols: int,
+    value_idx: list[int],
+    control_idx: list[int] | None,
+) -> InputMatrix | None:
+    """Parse the data lines as whole arrays, or return None to leave the
+    input to ``_parse_lines``.
+
+    The caller has checked that the delimiter is one character, that the
+    text holds no U+001F (loadtxt strips it around a number, ``float``
+    rejects it) and that it holds exactly ``ncols - 1`` delimiters per
+    line. loadtxt fails a line lacking the last column, which is always
+    read here, so every line has exactly ``ncols`` cells. The cells are
+    converted by the same string-to-double routine as ``float``, so the
+    values are bit-identical to the line parser's.
+    """
+    body = lines[1:]
+    ids = [line.partition(delimiter)[0] for line in body]
+    if len(set(ids)) != len(ids):
+        return None
+    cols = value_idx + (control_idx or [])
+    if ncols - 1 not in cols:
+        cols = cols + [ncols - 1]
+    try:
+        values = np.loadtxt(
+            body,
+            dtype=np.float64,
+            delimiter=delimiter,
+            comments=None,
+            quotechar=None,
+            usecols=cols,
+            ndmin=2,
+        )
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    k = len(value_idx)
+    rows = values[:, :k] if control_idx is None else values[:, :k] - values[:, k : 2 * k]
+    # the row sums in analyze depend on the memory order
+    return InputMatrix(feature_ids=tuple(ids), rows=np.ascontiguousarray(rows))
+
+
+def _parse_lines(
+    lines: list[str],
+    delimiter: str,
+    ncols: int,
+    value_idx: list[int],
+    control_idx: list[int] | None,
+) -> InputMatrix:
+    """Line-by-line parse that names the line and column of any error."""
     ids: list[str] = []
     seen: dict[str, int] = {}
     rows: list[list[float]] = []
     for offset, line in enumerate(lines[1:], start=2):
         cells = line.split(delimiter)
-        if len(cells) != len(header):
-            raise DataError(
-                f"line {offset}: expected {len(header)} columns, found {len(cells)}"
-            )
+        if len(cells) != ncols:
+            raise DataError(f"line {offset}: expected {ncols} columns, found {len(cells)}")
         fid = cells[0]
         if fid in seen:
             raise DataError(
@@ -177,23 +255,15 @@ def read_matrix(
             )
         seen[fid] = offset
         ids.append(fid)
-        if paired:
-            diffs = [
-                _parse_cell(cells[ti], offset, ti + 1)
-                - _parse_cell(cells[ci], offset, ci + 1)
-                for ti, ci in zip(treat_idx, control_idx)
-            ]
+        if control_idx is None:
+            diffs = [_parse_cell(cells[vi], offset, vi + 1) for vi in value_idx]
         else:
             diffs = [
-                _parse_cell(cell, offset, col + 1)
-                for col, cell in enumerate(cells[1:], start=1)
+                _parse_cell(cells[ti], offset, ti + 1) - _parse_cell(cells[ci], offset, ci + 1)
+                for ti, ci in zip(value_idx, control_idx)
             ]
         rows.append(diffs)
-
-    matrix = np.asarray(rows, dtype=np.float64)
-    if matrix.shape[1] < 2:
-        raise DataError("need at least 2 replicate differences per feature")
-    return InputMatrix(feature_ids=tuple(ids), rows=matrix)
+    return InputMatrix(feature_ids=tuple(ids), rows=np.asarray(rows, dtype=np.float64))
 
 
 def analyze(
@@ -212,6 +282,10 @@ def analyze(
     """
     data = matrix.rows
     m, n = data.shape
+    nonfinite = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if nonfinite.size:
+        bad = matrix.feature_ids[nonfinite[0]]
+        raise DataError(f"feature {bad!r}: non-finite replicate difference")
     means = data.mean(axis=1)
     sds = data.std(axis=1, ddof=1)
     degenerate = np.flatnonzero(sds == 0.0)
@@ -247,32 +321,98 @@ def analyze(
     ranks = np.empty(m, dtype=np.int64)
     ranks[order] = np.arange(1, m + 1)
 
-    rows = [
-        AnalysisRow(
-            feature_id=matrix.feature_ids[i],
-            mean=float(means[i]),
-            t=float(ts[i]),
-            z=float(zs[i]),
-            lfdr=float(lf[i]),
-            median_conditional=float(means[i]),
-            median_marginal=float(med_marg[i]),
-            ci_lo_conditional=float(ci_lo_cond[i]),
-            ci_hi_conditional=float(ci_hi_cond[i]),
-            ci_lo_marginal=float(ci_lo_marg[i]),
-            ci_hi_marginal=float(ci_hi_marg[i]),
-            conf_below=float(conf_below[i]),
-            conf_at_null=float(conf_at_null[i]),
-            conf_above=float(conf_above[i]),
-            rank=int(ranks[i]),
-        )
-        for i in range(m)
-    ]
     return AnalysisResult(
-        rows=rows,
+        feature_ids=matrix.feature_ids,
+        mean=means,
+        t=ts,
+        z=zs,
+        lfdr=lf,
+        median_conditional=means,
+        median_marginal=med_marg,
+        ci_lo_conditional=ci_lo_cond,
+        ci_hi_conditional=ci_hi_cond,
+        ci_lo_marginal=ci_lo_marg,
+        ci_hi_marginal=ci_hi_marg,
+        conf_below=conf_below,
+        conf_at_null=conf_at_null,
+        conf_above=conf_above,
+        rank=ranks,
         fit=fit,
         theta0=theta0,
         level=level,
         conditional_below=f_at_null,
+    )
+
+
+_CHUNK_ROWS = 20000
+
+
+def _table_chunks(header, formats, columns, delimiter):
+    """Yield a header line, then the rows of ``columns`` (aligned
+    sequences, one per ``%`` format) as text, _CHUNK_ROWS rows at a time."""
+    yield delimiter.join(header) + "\n"
+    row = delimiter.replace("%", "%%").join(formats) + "\n"
+    width = len(columns)
+    m = len(columns[0])
+    for start in range(0, m, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, m)
+        cells = [None] * ((stop - start) * width)
+        for j, column in enumerate(columns):
+            part = column[start:stop]
+            cells[j::width] = part.tolist() if isinstance(part, np.ndarray) else part
+        yield (row * (stop - start)) % tuple(cells)
+
+
+def _write_columns(destination, header, formats, columns, delimiter: str = "\t"):
+    """Write a table chunk by chunk to a path or, for '-', to stdout."""
+    chunks = _table_chunks(header, formats, columns, delimiter)
+    try:
+        if destination == "-":
+            for text in chunks:
+                sys.stdout.write(text)
+            return
+        with open(destination, "w", encoding="utf-8", newline="\n") as handle:
+            for text in chunks:
+                handle.write(text)
+    except OSError as exc:
+        raise DataError(f"cannot write {destination}: {exc}") from exc
+
+
+_REPORT_FORMATS = ("%s",) + ("%.12g",) * (len(REPORT_COLUMNS) - 2) + ("%d",)
+
+
+def emit_report(result: AnalysisResult, destination: str, delimiter: str = "\t"):
+    """Write the analysis table with the fixed column order."""
+    columns = [result.feature_ids] + [getattr(result, name) for name in REPORT_COLUMNS[1:]]
+    _write_columns(destination, REPORT_COLUMNS, _REPORT_FORMATS, columns, delimiter)
+
+
+def write_analysis_plots(result: AnalysisResult, plots_dir: str):
+    """Emit plot-ready scatters: medians vs lfdr, width vs width, and
+    observed confidence levels."""
+    os.makedirs(plots_dir, exist_ok=True)
+    ids = result.feature_ids
+    _write_columns(
+        os.path.join(plots_dir, "medians_vs_lfdr.tsv"),
+        ("feature_id", "lfdr", "median_marginal", "median_conditional"),
+        ("%s", "%.12g", "%.12g", "%.12g"),
+        (ids, result.lfdr, result.median_marginal, result.median_conditional),
+    )
+    _write_columns(
+        os.path.join(plots_dir, "width_scatter.tsv"),
+        ("feature_id", "width_conditional", "width_marginal"),
+        ("%s", "%.12g", "%.12g"),
+        (
+            ids,
+            result.ci_hi_conditional - result.ci_lo_conditional,
+            result.ci_hi_marginal - result.ci_lo_marginal,
+        ),
+    )
+    _write_columns(
+        os.path.join(plots_dir, "confidence_levels.tsv"),
+        ("feature_id", "conditional_below", "marginal_below", "marginal_above"),
+        ("%s", "%.12g", "%.12g", "%.12g"),
+        (ids, result.conditional_below, result.conf_below, result.conf_above),
     )
 
 
@@ -282,60 +422,6 @@ def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.12g}"
-
-
-def _write_table(destination, header: tuple[str, ...], records, delimiter: str = "\t"):
-    text = delimiter.join(header) + "\n"
-    for record in records:
-        text += delimiter.join(_fmt(v) for v in record) + "\n"
-    if destination == "-":
-        sys.stdout.write(text)
-        return
-    try:
-        with open(destination, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise DataError(f"cannot write {destination}: {exc}") from exc
-
-
-def emit_report(rows: list[AnalysisRow], destination: str, delimiter: str = "\t"):
-    """Write the analysis table with the fixed column order."""
-    records = (
-        tuple(getattr(row, name) for name in REPORT_COLUMNS) for row in rows
-    )
-    _write_table(destination, REPORT_COLUMNS, records, delimiter)
-
-
-def write_analysis_plots(result: AnalysisResult, plots_dir: str):
-    """Emit plot-ready scatters: medians vs lfdr, width vs width, and
-    observed confidence levels."""
-    os.makedirs(plots_dir, exist_ok=True)
-    rows = result.rows
-    _write_table(
-        os.path.join(plots_dir, "medians_vs_lfdr.tsv"),
-        ("feature_id", "lfdr", "median_marginal", "median_conditional"),
-        ((r.feature_id, r.lfdr, r.median_marginal, r.median_conditional) for r in rows),
-    )
-    _write_table(
-        os.path.join(plots_dir, "width_scatter.tsv"),
-        ("feature_id", "width_conditional", "width_marginal"),
-        (
-            (
-                r.feature_id,
-                r.ci_hi_conditional - r.ci_lo_conditional,
-                r.ci_hi_marginal - r.ci_lo_marginal,
-            )
-            for r in rows
-        ),
-    )
-    _write_table(
-        os.path.join(plots_dir, "confidence_levels.tsv"),
-        ("feature_id", "conditional_below", "marginal_below", "marginal_above"),
-        (
-            (r.feature_id, float(result.conditional_below[i]), r.conf_below, r.conf_above)
-            for i, r in enumerate(rows)
-        ),
-    )
 
 
 def format_simulation_report(report: CoverageReport, cfg: SimConfig) -> str:
@@ -374,13 +460,11 @@ def write_simulation_plots(report: CoverageReport, plots_dir: str):
     edges = np.linspace(lo, hi, _HISTOGRAM_BINS + 1)
     counts_m, _ = np.histogram(err_m, bins=edges)
     counts_c, _ = np.histogram(err_c, bins=edges)
-    _write_table(
+    _write_columns(
         os.path.join(plots_dir, "median_error_histogram.tsv"),
         ("bin_lo", "bin_hi", "count_marginal", "count_conditional"),
-        (
-            (edges[i], edges[i + 1], int(counts_m[i]), int(counts_c[i]))
-            for i in range(_HISTOGRAM_BINS)
-        ),
+        ("%.12g", "%.12g", "%d", "%d"),
+        (edges[:-1], edges[1:], counts_m, counts_c),
     )
 
 
@@ -454,7 +538,7 @@ def _cmd_analyze(args) -> int:
         bins=args.bins,
         degree=args.degree,
     )
-    emit_report(result.rows, args.output)
+    emit_report(result, args.output)
     if args.plots_dir:
         write_analysis_plots(result, args.plots_dir)
     m, n = matrix.rows.shape

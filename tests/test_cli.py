@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import lfdrshrink.cli as cli
 from lfdrshrink.cli import (
     REPORT_COLUMNS,
     InputMatrix,
@@ -16,7 +17,8 @@ from lfdrshrink.cli import (
 )
 from lfdrshrink.errors import DataError
 
-GOLDEN_REPORT = os.path.join(os.path.dirname(__file__), "data", "golden_simulate_report.tsv")
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data")
+GOLDEN_REPORT = os.path.join(GOLDEN_DIR, "golden_simulate_report.tsv")
 
 
 def write(tmp_path, name, text):
@@ -62,6 +64,11 @@ class TestReadMatrix:
         with pytest.raises(DataError, match=r"line 3"):
             read_matrix(path)
 
+    def test_extra_cells_name_line(self, tmp_path):
+        path = write(tmp_path, "wide.tsv", "id\tr1\tr2\na\t0.1\t0.2\nb\t0.3\t0.4\t0.5\n")
+        with pytest.raises(DataError, match=r"line 3: expected 3 columns, found 4"):
+            read_matrix(path)
+
     def test_duplicate_ids_rejected(self, tmp_path):
         path = write(tmp_path, "dup.tsv", "id\tr1\tr2\na\t1\t2\na\t3\t4\n")
         with pytest.raises(DataError, match="duplicate feature id"):
@@ -101,42 +108,112 @@ class TestReadMatrix:
             read_matrix(path)
 
 
+# (name, file text, read_matrix keywords, whether the columnar parse
+# must answer (True), must leave the input to the line parser (False))
+PARSE_CASES = [
+    ("well_formed", "id\tr1\tr2\na\t0.1\t-2e-3\nb\t1\t.5\n", {}, True),
+    ("extra_cells", "id\tr1\tr2\na\t1\t2\nb\t3\t4\t5\n", {}, False),
+    ("too_few_cells", "id\tr1\tr2\na\t1\t2\nb\t3\n", {}, False),
+    # one line short and one line long: the delimiter total still matches
+    ("short_and_long", "id,T1,C1,T2,C2,x\na,1,2,3,4\nb,1,2,3,4,5,6\n",
+     {"paired": [("T1", "C1"), ("T2", "C2")]}, False),
+    ("trailing_delimiter", "id\tr1\tr2\na\t1\t2\t\nb\t3\t4\n", {}, False),
+    ("whitespace_line", "id\tr1\tr2\na\t1\t2\n   \nb\t3\t4\n", {}, True),
+    ("whitespace_line_with_delimiter", "id\tr1\tr2\na\t1\t2\n \t \nb\t3\t4\n", {}, False),
+    ("crlf", "id,r1,r2\r\na,1.25,2\r\nb,3,-4.5\r\n", {}, True),
+    ("spaces_around_number", "id\tr1\tr2\na\t 1.5 \t2\nb\t3\t4\n", {}, True),
+    ("underscore_digits", "id\tr1\tr2\na\t1_0\t2\nb\t3\t4\n", {}, False),
+    ("unit_separator", "id\tr1\tr2\na\t1.5\x1f\t2\nb\t3\t4\n", {}, False),
+    ("empty_cell", "id\tr1\tr2\na\t\t2\nb\t3\t4\n", {}, False),
+    ("quoted_cell", 'id,r1,r2\na,"1.5",2\nb,3,4\n', {}, False),
+    ("hash_in_cell", "id\tr1\tr2\na\t1#2\t2\nb\t3\t4\n", {}, False),
+    ("hash_and_quote_in_id", 'id\tr1\tr2\n#a"\t1\t2\nb\t3\t4\n', {}, True),
+    ("nan", "id\tr1\tr2\na\tnan\t2\nb\t3\t4\n", {}, False),
+    ("inf", "id\tr1\tr2\na\t1\t-inf\nb\t3\t4\n", {}, False),
+    ("overflow", "id\tr1\tr2\na\t1e999\t2\nb\t3\t4\n", {}, False),
+    ("duplicate_ids", "id\tr1\tr2\na\t1\t2\na\t3\t4\n", {}, False),
+    ("multi_char_delimiter", "id::r1::r2\na::1::2\nb::3::4\n", {"delimiter": "::"}, False),
+    ("paired_any_order",
+     "id,C2,T1,note,C1,T2\na,1.5,2.25,0,1,3\nb,0.5,0.25,0,0.75,0.125\n",
+     {"paired": [("T1", "C1"), ("T2", "C2")]}, True),
+    ("paired_text_column", "id,T1,C1,T2,C2,note\na,2,1,3,1.5,up\nb,1,2,0,1,down\n",
+     {"paired": [("T1", "C1"), ("T2", "C2")]}, False),
+]
+
+
+class TestColumnarParse:
+    """The columnar parse accepts only what the line parser accepts and
+    returns the same matrix bit for bit."""
+
+    @staticmethod
+    def _read(path, kwargs):
+        try:
+            return read_matrix(path, **kwargs)
+        except DataError as exc:
+            return f"DataError: {exc}"
+
+    @pytest.mark.parametrize(
+        "name,text,kwargs,columnar", PARSE_CASES, ids=[case[0] for case in PARSE_CASES]
+    )
+    def test_matches_line_parser(self, tmp_path, monkeypatch, name, text, kwargs, columnar):
+        path = str(tmp_path / name)
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        answers = []
+        parse_columnar = cli._parse_columnar
+
+        def spy(*args):
+            answers.append(parse_columnar(*args))
+            return answers[-1]
+
+        monkeypatch.setattr(cli, "_parse_columnar", spy)
+        fast = self._read(path, kwargs)
+        monkeypatch.setattr(cli, "_parse_columnar", lambda *args: None)
+        slow = self._read(path, kwargs)
+
+        assert any(a is not None for a in answers) == columnar
+        if isinstance(slow, str):
+            assert fast == slow
+            return
+        assert fast.feature_ids == slow.feature_ids
+        assert fast.rows.dtype == slow.rows.dtype == np.float64
+        assert fast.rows.shape == slow.rows.shape
+        assert fast.rows.tobytes() == slow.rows.tobytes()
+        assert fast.rows.flags.c_contiguous and slow.rows.flags.c_contiguous
+
+
 class TestAnalyze:
     def test_all_null_matrix_mostly_shrinks_to_null(self):
         result = analyze(simulated_matrix(m=400, n=4, pi0=1.0))
-        med = np.array([r.median_marginal for r in result.rows])
+        med = result.median_marginal
         assert np.mean(med == 0.0) > 0.5
         assert result.pi0_hat > 0.9
 
     def test_interval_hull_and_mean_width(self):
         result = analyze(simulated_matrix(m=400, n=4, pi0=0.85, seed=3))
-        rows = result.rows
-        w_m = np.array([r.ci_hi_marginal - r.ci_lo_marginal for r in rows])
-        w_c = np.array([r.ci_hi_conditional - r.ci_lo_conditional for r in rows])
+        w_m = result.ci_hi_marginal - result.ci_lo_marginal
+        w_c = result.ci_hi_conditional - result.ci_lo_conditional
         assert w_m.mean() < w_c.mean()
-        for r in rows:
-            assert r.ci_lo_marginal >= min(r.ci_lo_conditional, result.theta0) - 1e-9
-            assert r.ci_hi_marginal <= max(r.ci_hi_conditional, result.theta0) + 1e-9
+        hull_lo = np.minimum(result.ci_lo_conditional, result.theta0)
+        hull_hi = np.maximum(result.ci_hi_conditional, result.theta0)
+        assert np.all(result.ci_lo_marginal >= hull_lo - 1e-9)
+        assert np.all(result.ci_hi_marginal <= hull_hi + 1e-9)
 
     def test_confidence_levels_sum_to_one(self):
         result = analyze(simulated_matrix(m=200, n=4, pi0=0.9, seed=4))
-        for r in result.rows:
-            total = r.conf_below + r.conf_at_null + r.conf_above
-            assert total == pytest.approx(1.0, abs=1e-12)
+        total = result.conf_below + result.conf_at_null + result.conf_above
+        np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-12)
 
     def test_rank_ordering(self):
         result = analyze(simulated_matrix(m=200, n=4, pi0=0.8, seed=5))
-        by_rank = sorted(result.rows, key=lambda r: r.rank)
-        assert [r.rank for r in by_rank] == list(range(1, 201))
-        devs = [abs(r.median_marginal - result.theta0) for r in by_rank]
-        for a, b in zip(devs, devs[1:]):
-            assert a >= b - 1e-12
+        by_rank = np.argsort(result.rank)
+        assert result.rank[by_rank].tolist() == list(range(1, 201))
+        devs = np.abs(result.median_marginal[by_rank] - result.theta0)
+        assert np.all(devs[:-1] >= devs[1:] - 1e-12)
         # ties on the deviation (atom medians) break by ascending lfdr
-        for r1, r2 in zip(by_rank, by_rank[1:]):
-            d1 = abs(r1.median_marginal - result.theta0)
-            d2 = abs(r2.median_marginal - result.theta0)
-            if d1 == d2:
-                assert r1.lfdr <= r2.lfdr
+        lfdr = result.lfdr[by_rank]
+        ties = devs[:-1] == devs[1:]
+        assert np.all(lfdr[:-1][ties] <= lfdr[1:][ties])
 
     def test_permutation_equivariance(self):
         mat = simulated_matrix(m=250, n=4, pi0=0.85, seed=6)
@@ -149,12 +226,11 @@ class TestAnalyze:
         )
         result_p = analyze(permuted)
         assert result_p.pi0_hat == result.pi0_hat
-        by_id = {r.feature_id: r for r in result.rows}
-        for r in result_p.rows:
-            base = by_id[r.feature_id]
-            assert r.median_marginal == base.median_marginal
-            assert r.lfdr == base.lfdr
-            assert r.rank == base.rank
+        by_id = {fid: i for i, fid in enumerate(result.feature_ids)}
+        base = np.array([by_id[fid] for fid in result_p.feature_ids])
+        assert np.array_equal(result_p.median_marginal, result.median_marginal[base])
+        assert np.array_equal(result_p.lfdr, result.lfdr[base])
+        assert np.array_equal(result_p.rank, result.rank[base])
 
     def test_degenerate_feature_named(self):
         mat = InputMatrix(
@@ -164,11 +240,20 @@ class TestAnalyze:
         with pytest.raises(DataError, match="'a'"):
             analyze(mat)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_feature_named(self, bad):
+        mat = InputMatrix(
+            feature_ids=("a", "b", "c"),
+            rows=np.array([[0.0, 1.0, 2.0], [1.0, bad, 0.5], [3.0, 1.0, 2.5]]),
+        )
+        with pytest.raises(DataError, match="'b'"):
+            analyze(mat)
+
     def test_theta0_shifts_the_atom(self):
         mat = simulated_matrix(m=300, n=4, pi0=1.0, seed=7)
         shifted = InputMatrix(feature_ids=mat.feature_ids, rows=mat.rows + 5.0)
         result = analyze(shifted, theta0=5.0)
-        med = np.array([r.median_marginal for r in result.rows])
+        med = result.median_marginal
         assert np.mean(med == 5.0) > 0.5
 
 
@@ -176,7 +261,7 @@ class TestEmitReport:
     def test_header_schema_frozen(self, tmp_path):
         result = analyze(simulated_matrix(m=150, n=4))
         out = tmp_path / "report.tsv"
-        emit_report(result.rows, str(out))
+        emit_report(result, str(out))
         header = out.read_text().splitlines()[0]
         assert header == (
             "feature_id\tmean\tt\tz\tlfdr\tmedian_conditional\tmedian_marginal\t"
@@ -187,26 +272,31 @@ class TestEmitReport:
     def test_roundtrip_twelve_significant_digits(self, tmp_path):
         result = analyze(simulated_matrix(m=150, n=4, pi0=0.8, seed=8))
         out = tmp_path / "report.tsv"
-        emit_report(result.rows, str(out))
+        emit_report(result, str(out))
         lines = out.read_text().splitlines()
         assert len(lines) == 151
-        for line, row in zip(lines[1:], result.rows):
-            cells = line.split("\t")
-            assert cells[0] == row.feature_id
-            assert int(cells[-1]) == row.rank
-            for name, cell in zip(REPORT_COLUMNS[1:-1], cells[1:-1]):
-                original = getattr(row, name)
-                reparsed = float(cell)
-                assert reparsed == pytest.approx(
-                    original, rel=1e-11, abs=1e-300
-                )
-                # writing the reparsed value reproduces the same text
-                assert f"{reparsed:.12g}" == cell
+        table = [line.split("\t") for line in lines[1:]]
+        assert [cells[0] for cells in table] == list(result.feature_ids)
+        assert [int(cells[-1]) for cells in table] == result.rank.tolist()
+        for col, name in enumerate(REPORT_COLUMNS[1:-1], start=1):
+            text = [cells[col] for cells in table]
+            reparsed = [float(cell) for cell in text]
+            np.testing.assert_allclose(
+                reparsed, getattr(result, name), rtol=1e-11, atol=1e-300
+            )
+            # writing the reparsed value reproduces the same text
+            assert [f"{value:.12g}" for value in reparsed] == text
 
     def test_unwritable_destination(self, tmp_path):
         result = analyze(simulated_matrix(m=120, n=4))
         with pytest.raises(DataError, match="cannot write"):
-            emit_report(result.rows, str(tmp_path / "no_dir" / "x.tsv"))
+            emit_report(result, str(tmp_path / "no_dir" / "x.tsv"))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_is_data_error(self):
+        result = analyze(simulated_matrix(m=120, n=4))
+        with pytest.raises(DataError, match="cannot write /dev/full"):
+            emit_report(result, "/dev/full")
 
 
 class TestPlotData:
@@ -302,6 +392,12 @@ class TestCliMain:
         lines = out.read_text().splitlines()
         assert len(lines) == m + 1
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_is_data_error(self, tmp_path, capsys):
+        path = golden_input(tmp_path, False)
+        assert cli_main(["analyze", "--input", path, "--output", "/dev/full"]) == 3
+        assert "cannot write /dev/full" in capsys.readouterr().err
+
     def test_simulate_deterministic_bytes(self, tmp_path):
         argv = [
             "simulate", "--m", "120", "--n", "2", "--pi0", "0.9",
@@ -326,3 +422,69 @@ class TestCliMain:
         with open(GOLDEN_REPORT, "rb") as handle:
             golden = handle.read()
         assert out.read_bytes() == golden
+
+
+GOLDEN_PLOTS = ("medians_vs_lfdr.tsv", "width_scatter.tsv", "confidence_levels.tsv")
+# treatment/control columns deliberately out of pair order in the header
+GOLDEN_PAIRED_HEADER = ("id", "C2", "T1", "C1", "T3", "T2", "C3")
+
+
+def golden_input(tmp_path, paired: bool) -> str:
+    """Write the fixed-decimal matrix behind the golden analyze reports:
+    300 features, about 15% with a shifted mean."""
+    rng = np.random.default_rng(20240611)
+    m = 300
+    effects = np.where(rng.random(m) < 0.85, 0.0, rng.choice([-2.5, 2.5], m))
+    if paired:
+        base = rng.normal(8.0, 1.0, m)
+        cells = {}
+        for k in (1, 2, 3):
+            cells[f"T{k}"] = base + effects + rng.standard_normal(m)
+            cells[f"C{k}"] = base + rng.standard_normal(m)
+        names = GOLDEN_PAIRED_HEADER[1:]
+        lines = [",".join(GOLDEN_PAIRED_HEADER)]
+        for i in range(m):
+            lines.append(f"p{i:04d}," + ",".join(f"{cells[c][i]:.4f}" for c in names))
+        return write(tmp_path, "golden_paired.csv", "\n".join(lines) + "\n")
+    data = effects[:, None] + rng.standard_normal((m, 4))
+    lines = ["id\tr1\tr2\tr3\tr4"]
+    for i in range(m):
+        lines.append(f"g{i:04d}\t" + "\t".join(f"{v:.6f}" for v in data[i]))
+    return write(tmp_path, "golden.tsv", "\n".join(lines) + "\n")
+
+
+def golden_bytes(name: str) -> bytes:
+    with open(os.path.join(GOLDEN_DIR, name), "rb") as handle:
+        return handle.read()
+
+
+class TestGoldenAnalyze:
+    def test_report_matches_golden(self, tmp_path, capsys):
+        out = tmp_path / "report.tsv"
+        rc = cli_main(["analyze", "--input", golden_input(tmp_path, False), "--output", str(out)])
+        assert rc == 0
+        capsys.readouterr()
+        assert out.read_bytes() == golden_bytes("golden_analyze_report.tsv")
+
+    def test_stdout_report_matches_golden(self, tmp_path, capsys):
+        rc = cli_main(["analyze", "--input", golden_input(tmp_path, False), "--output", "-"])
+        assert rc == 0
+        assert capsys.readouterr().out.encode("utf-8") == golden_bytes(
+            "golden_analyze_report.tsv"
+        )
+
+    def test_paired_report_and_plots_match_golden(self, tmp_path, capsys):
+        out = tmp_path / "report.tsv"
+        plots = tmp_path / "plots"
+        rc = cli_main(
+            [
+                "analyze", "--input", golden_input(tmp_path, True),
+                "--paired", "T1,C1,T2,C2,T3,C3",
+                "--output", str(out), "--plots-dir", str(plots),
+            ]
+        )
+        assert rc == 0
+        capsys.readouterr()
+        assert out.read_bytes() == golden_bytes("golden_analyze_paired_report.tsv")
+        for name in GOLDEN_PLOTS:
+            assert (plots / name).read_bytes() == golden_bytes(f"golden_analyze_paired_{name}")
