@@ -142,7 +142,7 @@ def read_matrix(
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     lines = [ln for ln in text.splitlines() if ln.strip() != ""]
     if not lines:
@@ -528,6 +528,9 @@ def _cmd_analyze(args) -> int:
         return 2
     if not math.isfinite(args.theta0):
         print("error: --theta0 must be finite", file=sys.stderr)
+        return 2
+    if args.delimiter == "":
+        print("error: --delimiter must not be empty", file=sys.stderr)
         return 2
     paired = _parse_paired(args.paired) if args.paired else None
     matrix = read_matrix(args.input, delimiter=args.delimiter, paired=paired)

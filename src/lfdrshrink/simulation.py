@@ -12,14 +12,24 @@ derived from (seed, experiment index), so experiments are reproducible
 and order-independent, and the same seed yields identical observation
 noise across different pi0 settings. Normal variates come from the
 inverse CDF of uniform draws for cross-platform determinism.
+
+``run_study`` runs the experiments on a pool of forked worker processes,
+one per CPU the process may use, and collects their results in index
+order, so the report does not depend on the pool. It runs them in the
+calling process when only one CPU is usable (``taskset -c 0``), off
+Linux (fork is unsafe on macOS and missing on Windows), while the
+process runs other threads, and inside a daemonic process, which may not
+start children.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import sys
+import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -38,8 +48,6 @@ __all__ = [
     "analyze_experiment",
     "run_study",
 ]
-
-THREADS_ENV_VAR = "LFDRSHRINK_THREADS"
 
 TRACK_FIRST = "first_feature"
 TRACK_ALL = "all_features"
@@ -213,13 +221,18 @@ def _run_one(cfg: SimConfig, index: int):
     )
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise DomainError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
-    return max(1, workers)
+def _pool_size(n_experiments: int) -> int:
+    """Worker processes for a study; 1 runs it in the calling process."""
+    # a forked child holds only the forking thread, and any lock another
+    # thread held at the fork stays locked in it
+    if sys.platform != "linux" or threading.active_count() > 1:
+        return 1
+    workers = min(len(os.sched_getaffinity(0)), n_experiments)
+    if workers < 2:
+        return 1
+    import multiprocessing
+
+    return 1 if multiprocessing.current_process().daemon else workers
 
 
 def _stack(parts, count: int) -> list[np.ndarray]:
@@ -240,13 +253,19 @@ def run_study(cfg: SimConfig) -> CoverageReport:
     Deterministic given cfg: substreams fix each experiment regardless of
     execution order, and aggregation follows experiment index.
     """
+    run_one = partial(_run_one, cfg)
     indices = range(cfg.n_experiments)
-    workers = _worker_count()
+    workers = _pool_size(cfg.n_experiments)
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            columns = _stack(pool.map(lambda i: _run_one(cfg, i), indices), cfg.n_experiments)
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            # a larger chunk sends more results in one message, raising peak RSS
+            columns = _stack(pool.map(run_one, indices, chunksize=4), cfg.n_experiments)
     else:
-        columns = _stack((_run_one(cfg, i) for i in indices), cfg.n_experiments)
+        columns = _stack(map(run_one, indices), cfg.n_experiments)
 
     cov_m, cov_c, wid_m, wid_c, err_m, err_c = columns
     return CoverageReport(

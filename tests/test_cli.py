@@ -350,6 +350,17 @@ class TestCliMain:
         assert cli_main(["analyze", "--input", path, "--level", "1.5"]) == 2
         capsys.readouterr()
 
+    def test_empty_delimiter_is_usage_error(self, tmp_path, capsys):
+        path = write(tmp_path, "x.tsv", "id\tr1\tr2\na\t1\t2\n")
+        assert cli_main(["analyze", "--input", path, "--delimiter", ""]) == 2
+        assert "--delimiter" in capsys.readouterr().err
+
+    def test_non_utf8_input_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "latin.tsv"
+        path.write_bytes(b"id\tr1\tr2\na\xff\t1\t2\nb\t3\t5\n")
+        assert cli_main(["analyze", "--input", str(path)]) == 3
+        assert f"data error: cannot read {path}" in capsys.readouterr().err
+
     def test_small_matrix_is_data_error(self, tmp_path, capsys):
         path = write(tmp_path, "small.tsv", "id\tr1\tr2\na\t1\t2\nb\t2\t4\n")
         assert cli_main(["analyze", "--input", path]) == 3

@@ -1,14 +1,26 @@
 """Tests for the Monte-Carlo coverage harness."""
 
+import contextlib
+import dataclasses
 import math
+import multiprocessing
+import os
+import signal
+import sys
+import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
-from lfdrshrink.errors import DomainError
+from lfdrshrink import simulation as sim
+from lfdrshrink.cli import cli_main
+from lfdrshrink.errors import DataError, DomainError, FitError
 from lfdrshrink.simulation import (
     TRACK_ALL,
     TRACK_FIRST,
+    CoverageReport,
     SimConfig,
     analyze_experiment,
     experiment_stream,
@@ -23,6 +35,31 @@ def small_cfg(**overrides):
     )
     base.update(overrides)
     return SimConfig(**base)
+
+
+def assert_same_report(a: CoverageReport, b: CoverageReport):
+    for field in dataclasses.fields(CoverageReport):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if field.name == "median_error_samples":
+            for xs, ys in zip(x, y):
+                assert xs.dtype == ys.dtype
+                assert xs.tobytes() == ys.tobytes()
+        else:
+            assert type(x) is type(y) and x == y, field.name
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestSimConfig:
@@ -156,15 +193,81 @@ class TestRunStudy:
             r1.median_error_samples[1], r2.median_error_samples[1]
         )
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        cfg = small_cfg(n_experiments=6)
-        base = run_study(cfg)
-        monkeypatch.setenv("LFDRSHRINK_THREADS", "4")
-        threaded = run_study(cfg)
-        assert base.marginal_coverage == threaded.marginal_coverage
-        np.testing.assert_array_equal(
-            base.median_error_samples[0], threaded.median_error_samples[0]
-        )
+    def test_pool_matches_serial_bit_for_bit(self, monkeypatch, tmp_path):
+        cfg = small_cfg(n_experiments=8)
+        pids = tmp_path / "pids"
+        generate = sim.generate_experiment
+
+        def logged(cfg, stream):
+            with open(pids, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            # hold the worker long enough for the other to take the next chunk
+            time.sleep(0.05)
+            return generate(cfg, stream)
+
+        monkeypatch.setattr(sim, "generate_experiment", logged)
+
+        def run(workers):
+            monkeypatch.setattr(sim, "_pool_size", lambda n: workers)
+            pids.write_text("")
+            with time_limit(60):
+                report = run_study(cfg)
+            return report, pids.read_text().split()
+
+        serial, serial_pids = run(1)
+        pooled, pool_pids = run(2)
+        assert serial_pids == [str(os.getpid())] * cfg.n_experiments
+        assert len(pool_pids) == cfg.n_experiments
+        assert len(set(pool_pids)) == 2 and str(os.getpid()) not in pool_pids
+        assert_same_report(serial, pooled)
+
+    @pytest.mark.parametrize(
+        "platform, threads, cpus, n_experiments, expected",
+        [
+            ("linux", 1, {0, 1, 2}, 8, 3),
+            ("linux", 1, {0, 1, 2}, 2, 2),
+            ("linux", 1, {0, 1, 2}, 1, 1),
+            ("linux", 1, {3}, 8, 1),
+            ("linux", 2, {0, 1, 2}, 8, 1),
+            ("darwin", 1, {0, 1, 2}, 8, 1),
+            ("win32", 1, {0, 1, 2}, 8, 1),
+        ],
+    )
+    def test_pool_size(self, monkeypatch, platform, threads, cpus, n_experiments, expected):
+        monkeypatch.setattr(sys, "platform", platform)
+        monkeypatch.setattr(threading, "active_count", lambda: threads)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        assert sim._pool_size(n_experiments) == expected
+
+    def test_serial_inside_a_daemonic_process(self, monkeypatch):
+        # a daemonic process may not start children, so a pool there fails
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        cfg = small_cfg(n_experiments=4)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            inside = pool.apply_async(run_study, (cfg,)).get(timeout=60)
+        assert_same_report(inside, run_study(cfg))
+
+    @pytest.mark.parametrize("error, code", [(FitError, 4), (DataError, 3)])
+    def test_worker_errors_reach_the_cli(self, monkeypatch, capsys, error, code):
+        def broken_fit(*args, **kwargs):
+            raise error("synthetic failure")
+
+        monkeypatch.setattr(sim, "fit_mixture", broken_fit)
+        monkeypatch.setattr(sim, "_pool_size", lambda n: 2)
+        with time_limit(60):
+            with pytest.raises(error, match=r"^experiment 0: synthetic failure$"):
+                run_study(small_cfg(n_experiments=8))
+            assert cli_main(["simulate", "--m", "200", "--experiments", "8"]) == code
+        assert "experiment 0: synthetic failure" in capsys.readouterr().err
+
+    def test_dead_worker_fails_the_study(self, monkeypatch):
+        def die(*args):
+            os._exit(1)
+
+        monkeypatch.setattr(sim, "generate_experiment", die)
+        monkeypatch.setattr(sim, "_pool_size", lambda n: 2)
+        with time_limit(20), pytest.raises(BrokenProcessPool):
+            run_study(small_cfg(n_experiments=8))
 
     def test_tracking_modes(self):
         cfg_first = small_cfg(track=TRACK_FIRST)
@@ -192,9 +295,6 @@ class TestRunStudy:
         assert np.abs(err_m).mean() <= np.abs(err_c).mean()
 
     def test_fit_errors_name_the_experiment(self, monkeypatch):
-        from lfdrshrink import simulation as sim
-        from lfdrshrink.errors import FitError
-
         def broken_fit(*args, **kwargs):
             raise FitError("synthetic failure")
 
