@@ -19,25 +19,21 @@ from .confidence import (
     summarize,
 )
 from .errors import (
-    BracketError,
     DataError,
     DomainError,
     FitError,
     LfdrShrinkError,
     NumericError,
+    WorkerError,
 )
 from .lfdr import (
-    LfdrEstimate,
     MixtureFit,
     ZVector,
-    estimate_lfdr,
     fit_mixture,
     lfdr_at,
-    pi0_estimate,
     probit_transform,
 )
 from .numerics import (
-    invert_monotone,
     ln_gamma,
     normal_cdf,
     normal_pdf,
@@ -49,6 +45,7 @@ from .numerics import (
 from .posterior import (
     MarginalPosterior,
     ObservedConfidenceLevels,
+    Shrinkage,
     ShrunkenInterval,
     marginal_cdf,
     marginal_quantile,
@@ -56,6 +53,7 @@ from .posterior import (
     observed_confidence_levels,
     posterior_mean,
     posterior_median,
+    shrink,
     shrunken_interval,
 )
 from .simulation import (

@@ -2,19 +2,21 @@
 
 ``analyze`` ingests a matrix of paired differences (header row, feature id
 in the first column) or computes differences from named treatment/control
-column pairs, runs the full shrinkage pipeline, and writes a fixed-schema
-table plus optional plot-ready data files. ``simulate`` wraps the
-Monte-Carlo coverage study. All numbers serialize with 12 significant
-digits so written tables re-parse to the same values.
+column pairs, runs the shrinkage pipeline (``posterior.shrink``), ranks
+the features, and writes a fixed-schema table plus optional plot-ready
+data files. ``simulate`` wraps the Monte-Carlo coverage study. All
+numbers serialize with 12 significant digits so written tables re-parse
+to the same values.
 
 The analyze path is columnar. ``read_matrix`` parses well-formed input as
 whole arrays and leaves anything else to a line-by-line parser whose
-errors name the line and column. ``AnalysisResult`` holds the feature ids
-and one array per report column, and every table is written from such
-columns in chunks of rows.
+errors name the line and column. ``AnalysisResult`` holds the ``shrink``
+columns, the feature ids and the ranks, and every table is written from
+such columns in chunks of rows.
 
 Exit codes: 0 success, 2 usage error, 3 data/I-O error, 4 numeric or
-fitting error.
+fitting error, 5 a ``simulate`` worker process died (killed from outside,
+for example by the out-of-memory killer).
 """
 
 from __future__ import annotations
@@ -23,14 +25,13 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError, DataError, DomainError, NumericError
-from .lfdr import DEFAULT_BINS, DEFAULT_DEGREE, MixtureFit, ZVector, fit_mixture, lfdr_at, probit_transform
-from .numerics import student_t_cdf, student_t_quantile
-from .posterior import marginal_quantile_batch
+from .errors import DataError, DomainError, NumericError, WorkerError
+from .lfdr import DEFAULT_BINS, DEFAULT_DEGREE
+from .posterior import Shrinkage, shrink
 from .simulation import (
     TRACK_ALL,
     TRACK_FIRST,
@@ -70,40 +71,15 @@ class InputMatrix:
 
 
 @dataclass(frozen=True)
-class AnalysisResult:
-    """Per-feature report columns plus the shared mixture fit diagnostics.
+class AnalysisResult(Shrinkage):
+    """The ``shrink`` columns with the feature ids and the priority rank.
 
     Every per-feature field is an array aligned with ``feature_ids``, in
-    input order; the fields after ``feature_ids`` are the report columns
-    after ``feature_id``, in report order.
+    input order, and each report column is the field of its name.
     """
 
     feature_ids: tuple[str, ...]
-    mean: np.ndarray
-    t: np.ndarray
-    z: np.ndarray
-    lfdr: np.ndarray
-    median_conditional: np.ndarray
-    median_marginal: np.ndarray
-    ci_lo_conditional: np.ndarray
-    ci_hi_conditional: np.ndarray
-    ci_lo_marginal: np.ndarray
-    ci_hi_marginal: np.ndarray
-    conf_below: np.ndarray
-    conf_at_null: np.ndarray
-    conf_above: np.ndarray
     rank: np.ndarray  # int64, 1 = top priority
-    fit: MixtureFit
-    theta0: float
-    level: float
-    conditional_below: np.ndarray  # F_x(theta0) per feature
-
-    @property
-    def pi0_hat(self) -> float:
-        return self.fit.pi0_hat
-
-
-assert tuple(f.name for f in fields(AnalysisResult))[1 : len(REPORT_COLUMNS)] == REPORT_COLUMNS[1:]
 
 
 def _sniff_delimiter(header: str) -> str:
@@ -280,68 +256,17 @@ def analyze(
     ascending lfdr, then feature id). The reported t and z test the null
     that the mean equals theta0, so both are centered at theta0.
     """
-    data = matrix.rows
-    m, n = data.shape
-    nonfinite = np.flatnonzero(~np.isfinite(data).all(axis=1))
-    if nonfinite.size:
-        bad = matrix.feature_ids[nonfinite[0]]
-        raise DataError(f"feature {bad!r}: non-finite replicate difference")
-    means = data.mean(axis=1)
-    sds = data.std(axis=1, ddof=1)
-    degenerate = np.flatnonzero(sds == 0.0)
-    if degenerate.size:
-        bad = matrix.feature_ids[degenerate[0]]
-        raise DataError(f"feature {bad!r}: replicate differences are all equal")
-    ses = sds / math.sqrt(n)
-    ts = (means - theta0) / ses
-    df = float(n - 1)
-
-    zs = probit_transform(ts, df)
-    fit = fit_mixture(ZVector(zs, df), bins=bins, degree=degree)
-    lf = lfdr_at(fit, zs)
-
-    alpha = (1.0 - level) / 2.0
-    q = student_t_quantile(1.0 - alpha, df)
-    ci_lo_cond = means - q * ses
-    ci_hi_cond = means + q * ses
-
-    ci_lo_marg = marginal_quantile_batch(lf, means, ses, df, theta0, alpha)
-    ci_hi_marg = marginal_quantile_batch(lf, means, ses, df, theta0, 1.0 - alpha)
-    med_marg = marginal_quantile_batch(lf, means, ses, df, theta0, 0.5)
-
-    f_at_null = student_t_cdf((theta0 - means) / ses, df)
-    conf_below = (1.0 - lf) * f_at_null
-    conf_at_null = lf
-    conf_above = (1.0 - lf) * (1.0 - f_at_null)
-
+    shrunk = shrink(
+        matrix.rows, theta0, level, bins=bins, degree=degree, feature_ids=matrix.feature_ids
+    )
     # rank 1 = top priority; the feature-id tie-break keeps ranks
     # independent of input order
+    m = len(matrix.feature_ids)
     ids = np.asarray(matrix.feature_ids)
-    order = np.lexsort((ids, lf, -np.abs(med_marg - theta0)))
+    order = np.lexsort((ids, shrunk.lfdr, -np.abs(shrunk.median_marginal - theta0)))
     ranks = np.empty(m, dtype=np.int64)
     ranks[order] = np.arange(1, m + 1)
-
-    return AnalysisResult(
-        feature_ids=matrix.feature_ids,
-        mean=means,
-        t=ts,
-        z=zs,
-        lfdr=lf,
-        median_conditional=means,
-        median_marginal=med_marg,
-        ci_lo_conditional=ci_lo_cond,
-        ci_hi_conditional=ci_hi_cond,
-        ci_lo_marginal=ci_lo_marg,
-        ci_hi_marginal=ci_hi_marg,
-        conf_below=conf_below,
-        conf_at_null=conf_at_null,
-        conf_above=conf_above,
-        rank=ranks,
-        fit=fit,
-        theta0=theta0,
-        level=level,
-        conditional_below=f_at_null,
-    )
+    return AnalysisResult(**vars(shrunk), feature_ids=matrix.feature_ids, rank=ranks)
 
 
 _CHUNK_ROWS = 20000
@@ -365,7 +290,11 @@ def _table_chunks(header, formats, columns, delimiter):
 
 def _write_columns(destination, header, formats, columns, delimiter: str = "\t"):
     """Write a table chunk by chunk to a path or, for '-', to stdout."""
-    chunks = _table_chunks(header, formats, columns, delimiter)
+    _write_text(destination, _table_chunks(header, formats, columns, delimiter))
+
+
+def _write_text(destination, chunks):
+    """Write text chunks to a path or, for '-', to stdout."""
     try:
         if destination == "-":
             for text in chunks:
@@ -572,15 +501,7 @@ def _cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = run_study(cfg)
-    text = format_simulation_report(report, cfg)
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise DataError(f"cannot write {args.output}: {exc}") from exc
+    _write_text(args.output, [format_simulation_report(report, cfg)])
     if args.plots_dir:
         write_simulation_plots(report, args.plots_dir)
     return 0
@@ -600,9 +521,12 @@ def cli_main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (NumericError, DomainError, BracketError) as exc:
+    except (NumericError, DomainError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
+    except WorkerError as exc:
+        print(f"worker error: {exc}", file=sys.stderr)
+        return 5
 
 
 def main():

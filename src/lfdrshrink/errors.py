@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: bad input data -> 3, numeric or
-fitting failures -> 4.
+fitting failures -> 4, a worker process that died -> 5.
 """
 
 
@@ -11,10 +11,6 @@ class LfdrShrinkError(Exception):
 
 class DomainError(LfdrShrinkError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
-
-
-class BracketError(LfdrShrinkError, ValueError):
-    """A root-finding bracket does not straddle the target value."""
 
 
 class DataError(LfdrShrinkError, ValueError):
@@ -27,3 +23,7 @@ class NumericError(LfdrShrinkError, RuntimeError):
 
 class FitError(NumericError):
     """Density fitting (Poisson regression) failed to converge."""
+
+
+class WorkerError(LfdrShrinkError, RuntimeError):
+    """A worker process died, for example killed by the out-of-memory killer."""

@@ -21,12 +21,9 @@ from .numerics import normal_pdf, normal_quantile, student_t_cdf
 __all__ = [
     "ZVector",
     "MixtureFit",
-    "LfdrEstimate",
     "probit_transform",
     "fit_mixture",
-    "pi0_estimate",
     "lfdr_at",
-    "estimate_lfdr",
 ]
 
 MIN_FEATURES = 100
@@ -87,14 +84,6 @@ class MixtureFit:
     def in_range(self, z):
         z_arr = np.asarray(z, dtype=np.float64)
         return (z_arr >= self.z_range[0]) & (z_arr <= self.z_range[1])
-
-
-@dataclass(frozen=True)
-class LfdrEstimate:
-    """Per-feature local false discovery rates, with extrapolation flags."""
-
-    values: np.ndarray
-    extrapolated: np.ndarray
 
 
 def probit_transform(t_stat, df):
@@ -198,28 +187,14 @@ def fit_mixture(
     )
 
 
-def pi0_estimate(fit: MixtureFit) -> float:
-    """Null proportion by central matching: min(1, f(0) / phi(0))."""
-    return float(min(1.0, fit.density(0.0) / normal_pdf(0.0)))
-
-
 def lfdr_at(fit: MixtureFit, z):
     """Local false discovery rate min(1, pi0 * phi(z) / f(z)).
 
     The theoretical null density is the standard normal. Outside z_range
-    the fitted log-polynomial extrapolates; use ``estimate_lfdr`` or
-    ``MixtureFit.in_range`` when the extrapolation flag matters.
+    the fitted log-polynomial extrapolates; use ``MixtureFit.in_range``
+    when the extrapolation flag matters.
     """
     z_arr = np.asarray(z, dtype=np.float64)
     raw = fit.pi0_hat * normal_pdf(z_arr) / fit.density(z_arr)
     out = np.clip(raw, 0.0, 1.0)
     return float(out) if np.ndim(z) == 0 else out
-
-
-def estimate_lfdr(fit: MixtureFit, zs) -> LfdrEstimate:
-    """Batch lfdr_at, flagging values outside the fitted range."""
-    z_arr = np.asarray(zs, dtype=np.float64)
-    return LfdrEstimate(
-        values=lfdr_at(fit, z_arr),
-        extrapolated=~fit.in_range(z_arr),
-    )

@@ -1,9 +1,9 @@
 """Special functions and root finding used throughout the package.
 
-Student-t and standard-normal CDFs/quantiles, the regularized incomplete
-beta function they rest on, and a guarded bisection inverter. Everything
-here is a pure function: floats in, floats out, numpy arrays accepted and
-returned elementwise. No global state.
+Student-t and standard-normal CDFs/quantiles and the regularized
+incomplete beta function they rest on. Everything here is a pure
+function: floats in, floats out, numpy arrays accepted and returned
+elementwise. No global state.
 
 The t functions work with the tail probability P(T > |t|): the CDF takes
 both tails from it, and the quantile solves it for q = min(p, 1 - p), so
@@ -28,11 +28,10 @@ approximation (plus one Halley polish) for the normal quantile.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
-from .errors import BracketError, DomainError, NumericError
+from .errors import DomainError, NumericError
 
 __all__ = [
     "ln_gamma",
@@ -42,7 +41,6 @@ __all__ = [
     "normal_cdf",
     "normal_pdf",
     "normal_quantile",
-    "invert_monotone",
 ]
 
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -653,36 +651,3 @@ def normal_quantile(p):
     out = _normal_quantile_array(np.atleast_1d(p_arr))
     return _maybe_scalar(out.reshape(p_arr.shape), p)
 
-
-def invert_monotone(
-    f: Callable[[float], float],
-    target: float,
-    lo: float,
-    hi: float,
-    tol: float = 1e-12,
-) -> float:
-    """Invert a nondecreasing map by bisection.
-
-    Returns x in [lo, hi] with the bracket narrowed below ``tol``,
-    converging to inf{x : f(x) >= target} when f is flat at the target.
-    Raises BracketError unless f(lo) <= target <= f(hi).
-    """
-    if not tol > 0.0:
-        raise DomainError("invert_monotone requires tol > 0")
-    if lo > hi:
-        raise BracketError("invert_monotone requires lo <= hi")
-    f_lo = f(lo)
-    f_hi = f(hi)
-    if not (f_lo <= target <= f_hi):
-        raise BracketError(
-            f"bracket [{lo}, {hi}] maps to [{f_lo}, {f_hi}], which misses {target}"
-        )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # bracket at float resolution
-            break
-        if f(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)

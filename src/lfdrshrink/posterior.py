@@ -3,32 +3,36 @@ conditional t posterior, weighted by the feature's local false discovery
 rate. Shrunken quantiles, intervals, medians, and observed confidence
 levels all derive from inverting its CDF.
 
+``shrink`` runs the whole pipeline on a matrix of replicate differences;
+the scalar functions are batch-of-one calls of its quantile and
+confidence-level code.
+
 The quantile uses the generalized-inverse convention
-inf{theta : cdf(theta) >= alpha}, which the closed three-case form below
-matches exactly: the lower branch applies when the rescaled lower
-probability inverts strictly below the null value, the upper branch when
-the rescaled upper probability inverts strictly above it, and the atom
-absorbs everything in between.
+inf{theta : cdf(theta) >= alpha}, which the closed three-case form in
+``marginal_quantile_batch`` matches exactly: the lower branch applies when
+the rescaled lower probability inverts strictly below the null value, the
+upper branch when the rescaled upper probability inverts strictly above
+it, and the atom absorbs everything in between.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .confidence import (
-    ConditionalPosterior,
-    conditional_cdf,
-    conditional_quantile,
-)
-from .errors import DomainError
-from .numerics import student_t_quantile
+from .confidence import ConditionalPosterior, conditional_cdf
+from .errors import DataError, DomainError
+from .lfdr import DEFAULT_BINS, DEFAULT_DEGREE, MixtureFit, ZVector, fit_mixture, lfdr_at, probit_transform
+from .numerics import student_t_cdf, student_t_quantile
 
 __all__ = [
     "MarginalPosterior",
     "ShrunkenInterval",
     "ObservedConfidenceLevels",
+    "Shrinkage",
+    "shrink",
     "marginal_cdf",
     "marginal_quantile",
     "marginal_quantile_batch",
@@ -69,33 +73,110 @@ class ObservedConfidenceLevels:
     above: float
 
 
+@dataclass(frozen=True)
+class Shrinkage:
+    """Per-feature columns of the shrinkage pipeline, aligned with the rows
+    of its input, plus the shared mixture fit.
+
+    The column names are those of the ``analyze`` report;
+    ``conditional_below`` is the conditional CDF at theta0, and the
+    conditional median is the mean.
+    """
+
+    mean: np.ndarray
+    t: np.ndarray
+    z: np.ndarray
+    lfdr: np.ndarray
+    median_conditional: np.ndarray
+    median_marginal: np.ndarray
+    ci_lo_conditional: np.ndarray
+    ci_hi_conditional: np.ndarray
+    ci_lo_marginal: np.ndarray
+    ci_hi_marginal: np.ndarray
+    conf_below: np.ndarray
+    conf_at_null: np.ndarray
+    conf_above: np.ndarray
+    conditional_below: np.ndarray
+    fit: MixtureFit
+    theta0: float
+    level: float
+
+    @property
+    def pi0_hat(self) -> float:
+        return self.fit.pi0_hat
+
+
+def shrink(
+    data,
+    theta0: float,
+    level: float,
+    *,
+    bins: int = DEFAULT_BINS,
+    degree: int = DEFAULT_DEGREE,
+    feature_ids=None,
+) -> Shrinkage:
+    """Run the shrinkage pipeline on an m-by-n matrix of replicate
+    differences, one row per feature.
+
+    The t and z statistics test the null that the mean equals theta0, and
+    the intervals have central coverage ``level``. Non-finite values and
+    zero-variance rows raise a DataError naming the feature by its entry
+    in ``feature_ids``, or by its row index when no ids are given.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 2 or data.shape[1] < 2:
+        raise DataError("need a matrix with at least 2 replicate differences per feature")
+    m, n = data.shape
+    names = range(m) if feature_ids is None else feature_ids
+    nonfinite = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if nonfinite.size:
+        raise DataError(f"feature {names[nonfinite[0]]!r}: non-finite replicate difference")
+    means = data.mean(axis=1)
+    sds = data.std(axis=1, ddof=1)
+    degenerate = np.flatnonzero(sds == 0.0)
+    if degenerate.size:
+        raise DataError(f"feature {names[degenerate[0]]!r}: replicate differences are all equal")
+    ses = sds / math.sqrt(n)
+    ts = (means - theta0) / ses
+    df = float(n - 1)
+
+    zs = probit_transform(ts, df)
+    fit = fit_mixture(ZVector(zs, df), bins=bins, degree=degree)
+    lf = lfdr_at(fit, zs)
+
+    alpha = (1.0 - level) / 2.0
+    q = student_t_quantile(1.0 - alpha, df)
+    lo, hi, median = (
+        marginal_quantile_batch(lf, means, ses, df, theta0, a) for a in (alpha, 1.0 - alpha, 0.5)
+    )
+    f_at_null, below, at_null, above = _confidence_levels(lf, means, ses, df, theta0)
+    return Shrinkage(
+        mean=means,
+        t=ts,
+        z=zs,
+        lfdr=lf,
+        median_conditional=means,
+        median_marginal=median,
+        ci_lo_conditional=means - q * ses,
+        ci_hi_conditional=means + q * ses,
+        ci_lo_marginal=lo,
+        ci_hi_marginal=hi,
+        conf_below=below,
+        conf_at_null=at_null,
+        conf_above=above,
+        conditional_below=f_at_null,
+        fit=fit,
+        theta0=theta0,
+        level=level,
+    )
+
+
 def marginal_cdf(mp: MarginalPosterior, theta):
     """Right-continuous mixture CDF with a jump of height lfdr at theta0."""
     theta_arr = np.asarray(theta, dtype=np.float64)
     atom = np.where(theta_arr >= mp.theta0, mp.lfdr, 0.0)
     out = atom + (1.0 - mp.lfdr) * conditional_cdf(mp.conditional, theta_arr)
     return float(out) if np.ndim(theta) == 0 else out
-
-
-def marginal_quantile(mp: MarginalPosterior, alpha: float) -> float:
-    """Generalized inverse of the marginal CDF at alpha in (0, 1)."""
-    if not 0.0 < alpha < 1.0:
-        raise DomainError("marginal_quantile requires 0 < alpha < 1")
-    lf = mp.lfdr
-    if lf >= 1.0:
-        return mp.theta0
-    keep = 1.0 - lf
-    p_low = alpha / keep
-    if p_low < 1.0:
-        candidate = conditional_quantile(mp.conditional, p_low)
-        if candidate < mp.theta0:
-            return candidate
-    p_high = 1.0 - (1.0 - alpha) / keep
-    if p_high > 0.0:
-        candidate = conditional_quantile(mp.conditional, p_high)
-        if candidate > mp.theta0:
-            return candidate
-    return mp.theta0
 
 
 def marginal_quantile_batch(
@@ -105,19 +186,22 @@ def marginal_quantile_batch(
     df: float,
     theta0: float,
     alpha: float,
-) -> np.ndarray:
-    """Vectorized marginal_quantile over features sharing df and theta0.
+) -> float | np.ndarray:
+    """Generalized inverse of the marginal CDF at alpha in (0, 1),
+    elementwise over features sharing df and theta0.
 
-    Matches the scalar function elementwise; used by the batch analysis
-    paths where thousands of features share one experiment.
+    ``lfdr``, ``center`` and ``scale`` broadcast together; all-scalar input
+    gives a float.
     """
     if not 0.0 < alpha < 1.0:
-        raise DomainError("marginal_quantile_batch requires 0 < alpha < 1")
+        raise DomainError("marginal quantile requires 0 < alpha < 1")
     lf, center, scale = np.broadcast_arrays(
         np.asarray(lfdr, dtype=np.float64),
         np.asarray(center, dtype=np.float64),
         np.asarray(scale, dtype=np.float64),
     )
+    shape = lf.shape
+    lf, center, scale = lf.reshape(-1), center.reshape(-1), scale.reshape(-1)
     out = np.full(lf.shape, float(theta0))
     keep = 1.0 - lf
 
@@ -125,24 +209,33 @@ def marginal_quantile_batch(
         p_low = np.where(keep > 0.0, alpha / keep, np.inf)
         p_high = np.where(keep > 0.0, 1.0 - (1.0 - alpha) / keep, -np.inf)
 
-    low_mask = p_low < 1.0
-    if np.any(low_mask):
-        cand = center[low_mask] + scale[low_mask] * student_t_quantile(
-            p_low[low_mask], df
-        )
+    # p_high <= p_low, so where the lower candidate falls below theta0 the
+    # upper one cannot rise above it: those lanes skip the upper solve
+    upper = p_high > 0.0
+    low = np.flatnonzero(p_low < 1.0)
+    if low.size:
+        cand = center[low] + scale[low] * student_t_quantile(p_low[low], df)
         take = cand < theta0
-        idx = np.flatnonzero(low_mask)[take]
-        out[idx] = cand[take]
+        out[low[take]] = cand[take]
+        upper[low[take]] = False
 
-    high_mask = p_high > 0.0
-    if np.any(high_mask):
-        cand = center[high_mask] + scale[high_mask] * student_t_quantile(
-            p_high[high_mask], df
-        )
+    high = np.flatnonzero(upper)
+    if high.size:
+        cand = center[high] + scale[high] * student_t_quantile(p_high[high], df)
         take = cand > theta0
-        idx = np.flatnonzero(high_mask)[take]
-        out[idx] = cand[take]
-    return out
+        out[high[take]] = cand[take]
+    out = out.reshape(shape)
+    return float(out) if out.ndim == 0 else out
+
+
+def _quantile(mp: MarginalPosterior, alpha: float) -> float:
+    cp = mp.conditional
+    return marginal_quantile_batch(mp.lfdr, cp.center, cp.scale, cp.df, mp.theta0, alpha)
+
+
+def marginal_quantile(mp: MarginalPosterior, alpha: float) -> float:
+    """Generalized inverse of the marginal CDF at alpha in (0, 1)."""
+    return _quantile(mp, alpha)
 
 
 def shrunken_interval(
@@ -153,8 +246,8 @@ def shrunken_interval(
         raise DomainError("shrunken_interval requires alpha1, alpha2 in (0, 1)")
     if not alpha1 + alpha2 < 1.0:
         raise DomainError("shrunken_interval requires alpha1 + alpha2 < 1")
-    lower = marginal_quantile(mp, alpha1)
-    upper = marginal_quantile(mp, 1.0 - alpha2)
+    lower = _quantile(mp, alpha1)
+    upper = _quantile(mp, 1.0 - alpha2)
     return ShrunkenInterval(
         level=1.0 - alpha1 - alpha2,
         lower=lower,
@@ -165,7 +258,7 @@ def shrunken_interval(
 
 def posterior_median(mp: MarginalPosterior) -> float:
     """Shrunken point estimate: the 50% quantile of the mixture."""
-    return marginal_quantile(mp, 0.5)
+    return _quantile(mp, 0.5)
 
 
 def posterior_mean(mp: MarginalPosterior) -> float:
@@ -175,12 +268,16 @@ def posterior_mean(mp: MarginalPosterior) -> float:
     return mp.lfdr * mp.theta0 + (1.0 - mp.lfdr) * mp.conditional.center
 
 
+def _confidence_levels(lfdr, center, scale, df: float, theta0: float):
+    """The conditional CDF at theta0, and the marginal posterior
+    probabilities below, at and above theta0."""
+    f_at_null = student_t_cdf((theta0 - center) / scale, df)
+    keep = 1.0 - lfdr
+    return f_at_null, keep * f_at_null, lfdr, keep * (1.0 - f_at_null)
+
+
 def observed_confidence_levels(mp: MarginalPosterior) -> ObservedConfidenceLevels:
     """Posterior probabilities that the mean is below/at/above theta0."""
-    f_at_null = conditional_cdf(mp.conditional, mp.theta0)
-    keep = 1.0 - mp.lfdr
-    return ObservedConfidenceLevels(
-        below=keep * f_at_null,
-        at_null=mp.lfdr,
-        above=keep * (1.0 - f_at_null),
-    )
+    cp = mp.conditional
+    _, below, at_null, above = _confidence_levels(mp.lfdr, cp.center, cp.scale, cp.df, mp.theta0)
+    return ObservedConfidenceLevels(below=below, at_null=at_null, above=above)

@@ -2,10 +2,11 @@
 
 Each experiment draws m features: the true mean is 0 with probability
 pi0, otherwise +-effect with equal probability; every feature then gets n
-normal observations with a null- or alternative-specific sigma. The full
-pipeline (t summaries, probit transform, mixture fit, local fdr, marginal
-posterior) runs per experiment, and coverage, interval width, and
-median-error statistics are pooled across experiments.
+normal observations with a null- or alternative-specific sigma. The
+``shrink`` pipeline of ``analyze`` (t summaries, probit transform, mixture
+fit, local fdr, marginal posterior) runs per experiment with the null
+value 0, and coverage, interval width, and median-error statistics are
+pooled across experiments.
 
 Randomness is counter-based (Philox) with one substream per experiment
 derived from (seed, experiment index), so experiments are reproducible
@@ -19,12 +20,12 @@ order, so the report does not depend on the pool. It runs them in the
 calling process when only one CPU is usable (``taskset -c 0``), off
 Linux (fork is unsafe on macOS and missing on Windows), while the
 process runs other threads, and inside a daemonic process, which may not
-start children.
+start children. A worker that dies, for example killed by the
+out-of-memory killer, fails the study with a WorkerError.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 import threading
@@ -33,10 +34,9 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DataError, DomainError, FitError
-from .lfdr import ZVector, fit_mixture, lfdr_at, probit_transform
-from .numerics import normal_quantile, student_t_quantile
-from .posterior import marginal_quantile_batch
+from .errors import DataError, DomainError, FitError, WorkerError
+from .numerics import normal_quantile
+from .posterior import shrink
 
 __all__ = [
     "SimConfig",
@@ -103,9 +103,6 @@ class ExperimentTruth:
 class ExperimentRecords:
     """Per-feature pipeline outputs for one experiment."""
 
-    lfdr: np.ndarray
-    z: np.ndarray
-    t: np.ndarray
     pi0_hat: float
     median_conditional: np.ndarray
     median_marginal: np.ndarray
@@ -161,44 +158,21 @@ def generate_experiment(
 def analyze_experiment(
     truth: ExperimentTruth, data: np.ndarray, cfg: SimConfig
 ) -> ExperimentRecords:
-    """Run the full estimation pipeline on one experiment."""
-    m, n = data.shape
-    means = data.mean(axis=1)
-    sds = data.std(axis=1, ddof=1)
-    degenerate = np.flatnonzero(sds == 0.0)
-    if degenerate.size:
-        raise DataError(f"feature {degenerate[0]} has zero variance")
-    ses = sds / math.sqrt(n)
-    ts = means / ses
-    df = float(n - 1)
-
-    zs = probit_transform(ts, df)
-    fit = fit_mixture(ZVector(zs, df))
-    lf = lfdr_at(fit, zs)
-
-    alpha = (1.0 - cfg.level) / 2.0
-    q = student_t_quantile(1.0 - alpha, df)
-    ci_lo_cond = means - q * ses
-    ci_hi_cond = means + q * ses
-
-    ci_lo_marg = marginal_quantile_batch(lf, means, ses, df, _NULL_VALUE, alpha)
-    ci_hi_marg = marginal_quantile_batch(lf, means, ses, df, _NULL_VALUE, 1.0 - alpha)
-    med_marg = marginal_quantile_batch(lf, means, ses, df, _NULL_VALUE, 0.5)
-
+    """Run the shrinkage pipeline on one experiment and flag coverage."""
+    shrunk = shrink(data, _NULL_VALUE, cfg.level)
     thetas = truth.thetas
+    lo_c, hi_c = shrunk.ci_lo_conditional, shrunk.ci_hi_conditional
+    lo_m, hi_m = shrunk.ci_lo_marginal, shrunk.ci_hi_marginal
     return ExperimentRecords(
-        lfdr=lf,
-        z=zs,
-        t=ts,
-        pi0_hat=fit.pi0_hat,
-        median_conditional=means,
-        median_marginal=med_marg,
-        ci_lo_conditional=ci_lo_cond,
-        ci_hi_conditional=ci_hi_cond,
-        ci_lo_marginal=ci_lo_marg,
-        ci_hi_marginal=ci_hi_marg,
-        covered_conditional=(ci_lo_cond <= thetas) & (thetas <= ci_hi_cond),
-        covered_marginal=(ci_lo_marg <= thetas) & (thetas <= ci_hi_marg),
+        pi0_hat=shrunk.pi0_hat,
+        median_conditional=shrunk.median_conditional,
+        median_marginal=shrunk.median_marginal,
+        ci_lo_conditional=lo_c,
+        ci_hi_conditional=hi_c,
+        ci_lo_marginal=lo_m,
+        ci_hi_marginal=hi_m,
+        covered_conditional=(lo_c <= thetas) & (thetas <= hi_c),
+        covered_marginal=(lo_m <= thetas) & (thetas <= hi_m),
     )
 
 
@@ -260,10 +234,15 @@ def run_study(cfg: SimConfig) -> CoverageReport:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
+        from concurrent.futures.process import BrokenProcessPool
+
         context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            # a larger chunk sends more results in one message, raising peak RSS
-            columns = _stack(pool.map(run_one, indices, chunksize=4), cfg.n_experiments)
+        try:
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                # a larger chunk sends more results in one message, raising peak RSS
+                columns = _stack(pool.map(run_one, indices, chunksize=4), cfg.n_experiments)
+        except BrokenProcessPool as exc:
+            raise WorkerError(f"a worker process died: {exc}") from exc
     else:
         columns = _stack(map(run_one, indices), cfg.n_experiments)
 

@@ -1,6 +1,8 @@
 """Tests for ingestion, the analyze pipeline, report emission, and the CLI."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -408,6 +410,23 @@ class TestCliMain:
         path = golden_input(tmp_path, False)
         assert cli_main(["analyze", "--input", path, "--output", "/dev/full"]) == 3
         assert "cannot write /dev/full" in capsys.readouterr().err
+        simulate = ["simulate", "--m", "200", "--experiments", "2"]
+        assert cli_main(simulate + ["--output", "/dev/full"]) == 3
+        assert "cannot write /dev/full" in capsys.readouterr().err
+
+    def test_import_loads_no_process_pool(self):
+        # the pool modules load only when a study starts workers, so they
+        # add nothing to the start-up time of every other command
+        code = (
+            "import sys, lfdrshrink.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_simulate_deterministic_bytes(self, tmp_path):
         argv = [

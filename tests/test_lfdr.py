@@ -8,13 +8,10 @@ import pytest
 from lfdrshrink.errors import DataError
 from lfdrshrink.lfdr import (
     MIN_FEATURES,
-    LfdrEstimate,
     MixtureFit,
     ZVector,
-    estimate_lfdr,
     fit_mixture,
     lfdr_at,
-    pi0_estimate,
     probit_transform,
 )
 from lfdrshrink.numerics import normal_pdf, normal_quantile
@@ -150,24 +147,24 @@ class TestFitMixture:
             ZVector(np.array([0.0, np.inf]), 1.0)
 
 
+def null_grid(scale: float = 1.0, size: int = 20000) -> np.ndarray:
+    """z values at the midpoint quantiles of N(0, scale^2): a sample that
+    follows the density without sampling noise."""
+    return scale * normal_quantile((np.arange(size) + 0.5) / size)
+
+
 class TestPi0Estimate:
     def test_exact_null_density_gives_one(self):
-        assert pi0_estimate(standard_normal_fit()) == 1.0
+        # central matching on the null itself; a density taller than the
+        # null at zero is clipped to exactly 1
+        assert fit_mixture(ZVector(null_grid(), 1.0)).pi0_hat == pytest.approx(1.0, abs=2e-3)
+        assert fit_mixture(ZVector(null_grid(0.8), 1.0)).pi0_hat == 1.0
 
     def test_ratio_arithmetic(self):
-        # flat density 0.359 against phi(0) = 0.3989...
-        fit = MixtureFit(
-            pi0_hat=float("nan"),
-            basis_coefficients=np.array([math.log(0.359)]),
-            bin_edges=np.array([-1.0, 1.0]),
-            bin_counts=np.array([0]),
-            z_range=(-1.0, 1.0),
-            x_loc=0.0,
-            x_scale=1.0,
-            log_norm=0.0,
-        )
-        assert pi0_estimate(fit) == pytest.approx(0.359 / normal_pdf(0.0), abs=1e-12)
-        assert pi0_estimate(fit) == pytest.approx(0.900, abs=1e-3)
+        # N(0, 1/0.9^2) has f(0) = 0.9 phi(0); frozen: 0.899057 at this size
+        fit = fit_mixture(ZVector(null_grid(1.0 / 0.9), 1.0))
+        assert fit.pi0_hat == pytest.approx(fit.density(0.0) / normal_pdf(0.0), abs=1e-12)
+        assert fit.pi0_hat == pytest.approx(0.900, abs=2e-3)
 
     def test_null_only_simulations_stay_high(self):
         # conservatism: on pure-null z the estimate should rarely dip
@@ -182,7 +179,8 @@ class TestPi0Estimate:
     def test_fit_sets_pi0(self):
         rng = np.random.default_rng(1)
         fit = fit_mixture(ZVector(rng.standard_normal(400), 1.0))
-        assert fit.pi0_hat == pytest.approx(pi0_estimate(fit), abs=1e-15)
+        expected = min(1.0, fit.density(0.0) / normal_pdf(0.0))
+        assert fit.pi0_hat == pytest.approx(expected, abs=1e-15)
         assert 0.0 < fit.pi0_hat <= 1.0
 
 
@@ -246,15 +244,14 @@ class TestEstimateLfdr:
         fit = fit_mixture(ZVector(rng.standard_normal(300), 1.0))
         inside = 0.5 * (fit.z_range[0] + fit.z_range[1])
         outside = fit.z_range[1] + 1.0
-        est = estimate_lfdr(fit, np.array([inside, outside]))
-        assert isinstance(est, LfdrEstimate)
-        np.testing.assert_array_equal(est.extrapolated, [False, True])
-        assert np.all((est.values >= 0.0) & (est.values <= 1.0))
+        zs = np.array([inside, outside])
+        np.testing.assert_array_equal(fit.in_range(zs), [True, False])
+        values = lfdr_at(fit, zs)
+        assert np.all((values >= 0.0) & (values <= 1.0))
 
     def test_matches_pointwise(self):
         rng = np.random.default_rng(15)
         zs = rng.standard_normal(400)
         fit = fit_mixture(ZVector(zs, 1.0))
-        est = estimate_lfdr(fit, zs[:10])
         single = np.array([lfdr_at(fit, float(z)) for z in zs[:10]])
-        np.testing.assert_array_equal(est.values, single)
+        np.testing.assert_array_equal(lfdr_at(fit, zs[:10]), single)

@@ -6,11 +6,17 @@ import pytest
 from helpers import grid_inverse_marginal, random_marginal
 from lfdrshrink.confidence import (
     ConditionalPosterior,
+    PairedSample,
     conditional_cdf,
     conditional_interval,
+    conditional_posterior,
     conditional_quantile,
+    summarize,
 )
-from lfdrshrink.errors import DomainError
+from lfdrshrink import posterior
+from lfdrshrink.errors import DataError, DomainError
+from lfdrshrink.lfdr import ZVector, fit_mixture, lfdr_at, probit_transform
+from lfdrshrink.numerics import student_t_quantile
 from lfdrshrink.posterior import (
     MarginalPosterior,
     marginal_cdf,
@@ -19,6 +25,7 @@ from lfdrshrink.posterior import (
     observed_confidence_levels,
     posterior_mean,
     posterior_median,
+    shrink,
     shrunken_interval,
 )
 
@@ -137,6 +144,90 @@ class TestBatchQuantile:
         )
         assert out[0] == -0.5
         assert out[1] == pytest.approx(2.0)
+
+    def test_scalar_input_gives_float(self):
+        for alpha in (0.025, 0.5, 0.975):
+            out = marginal_quantile_batch(0.5, 1.0, 1.0, 3.0, 0.0, alpha)
+            assert type(out) is float
+            assert out == marginal_quantile(make_mp(0.5, 0.0, 1.0, 1.0, 3.0), alpha)
+        assert marginal_quantile_batch(np.float64(0.2), 1.0, np.array(2.0), 3.0, 0.0, 0.5) > 0.0
+
+    def test_matrix_input_keeps_its_shape(self):
+        lf = np.array([[0.1, 0.9], [0.2, 0.3]])
+        centers = np.array([[-3.0, 0.1], [3.0, 1.0]])
+        out = marginal_quantile_batch(lf, centers, 1.0, 3.0, 0.0, 0.5)
+        assert out.shape == (2, 2)
+        flat = marginal_quantile_batch(lf.ravel(), centers.ravel(), 1.0, 3.0, 0.0, 0.5)
+        np.testing.assert_array_equal(out.ravel(), flat)
+
+    def test_lanes_won_below_skip_the_upper_solve(self, monkeypatch):
+        solved = []
+
+        def counting(p, df):
+            solved.append(np.size(p))
+            return student_t_quantile(p, df)
+
+        monkeypatch.setattr(posterior, "student_t_quantile", counting)
+        # lane 0 lies far below theta0 and lane 1 far above; lane 2 sits in
+        # the atom with neither candidate probability inside (0, 1)
+        out = marginal_quantile_batch([0.1, 0.1, 0.9], [-5.0, 5.0, 0.1], 1.0, 3.0, 0.0, 0.5)
+        assert out[0] < 0.0 < out[1] and out[2] == 0.0
+        # lanes 0 and 1 solve the lower candidate, and only lane 1 the upper
+        assert solved == [2, 1]
+
+
+class TestShrink:
+    def test_matches_readme_scalar_loop(self):
+        # the README's per-feature Library loop, with theta0 != 0
+        rng = np.random.default_rng(31)
+        theta0, level = 0.4, 0.95
+        shift = np.where(rng.random(300) < 0.8, 0.0, rng.choice([-2.0, 2.0], 300))
+        rows = theta0 + shift[:, None] + rng.standard_normal((300, 4))
+        features = [(f"g{i}", row) for i, row in enumerate(rows)]
+        shrunk = shrink(rows, theta0, level)
+
+        alpha = (1.0 - level) / 2.0
+        summaries = [summarize(PairedSample(row, feature_id=name)) for name, row in features]
+        zs = np.array([probit_transform((s.mean - theta0) / s.se, s.df) for s in summaries])
+        fit = fit_mixture(ZVector(zs, df=summaries[0].df))
+        columns = {}
+        for s, z in zip(summaries, zs):
+            cp = conditional_posterior(s)
+            mp = MarginalPosterior(lfdr=lfdr_at(fit, z), theta0=theta0, conditional=cp)
+            ci = conditional_interval(cp, alpha, alpha)
+            si = shrunken_interval(mp, alpha, alpha)
+            levels = observed_confidence_levels(mp)
+            values = {
+                "mean": s.mean, "t": (s.mean - theta0) / s.se, "z": z, "lfdr": mp.lfdr,
+                "ci_lo_conditional": ci[0], "ci_hi_conditional": ci[1],
+                "ci_lo_marginal": si.lower, "ci_hi_marginal": si.upper,
+                "median_marginal": posterior_median(mp), "conf_below": levels.below,
+                "conf_at_null": levels.at_null, "conf_above": levels.above,
+            }
+            for name, value in values.items():
+                columns.setdefault(name, []).append(value)
+        for name, column in columns.items():
+            np.testing.assert_array_equal(getattr(shrunk, name), column, err_msg=name)
+        assert shrunk.pi0_hat == fit.pi0_hat
+        # the marginal quantiles and levels are not all at the atom
+        assert np.any(shrunk.median_marginal != theta0)
+        assert np.any(shrunk.conf_at_null < 1.0)
+
+    def test_errors_name_the_row_without_ids(self):
+        rows = np.random.default_rng(32).standard_normal((200, 3))
+        rows[5] = 1.0
+        with pytest.raises(DataError, match=r"^feature 5: replicate differences are all equal$"):
+            shrink(rows, 0.0, 0.95)
+        with pytest.raises(DataError, match=r"^feature 'g5': "):
+            shrink(rows, 0.0, 0.95, feature_ids=[f"g{i}" for i in range(200)])
+        rows[7, 2] = np.nan
+        with pytest.raises(DataError, match=r"^feature 7: non-finite replicate difference$"):
+            shrink(rows, 0.0, 0.95)
+
+    @pytest.mark.parametrize("shape", [(200,), (200, 1)])
+    def test_rejects_fewer_than_two_replicates(self, shape):
+        with pytest.raises(DataError, match="at least 2 replicate differences"):
+            shrink(np.ones(shape), 0.0, 0.95)
 
 
 class TestShrunkenInterval:

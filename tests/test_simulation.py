@@ -14,9 +14,10 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
+from lfdrshrink import posterior
 from lfdrshrink import simulation as sim
 from lfdrshrink.cli import cli_main
-from lfdrshrink.errors import DataError, DomainError, FitError
+from lfdrshrink.errors import DataError, DomainError, FitError, WorkerError
 from lfdrshrink.simulation import (
     TRACK_ALL,
     TRACK_FIRST,
@@ -141,13 +142,12 @@ class TestAnalyzeExperiment:
         rec = analyze_experiment(truth, data, cfg)
         m = cfg.m
         for arr in (
-            rec.lfdr, rec.z, rec.t, rec.median_conditional, rec.median_marginal,
+            rec.median_conditional, rec.median_marginal,
             rec.ci_lo_conditional, rec.ci_hi_conditional,
             rec.ci_lo_marginal, rec.ci_hi_marginal,
             rec.covered_conditional, rec.covered_marginal,
         ):
             assert arr.shape == (m,)
-        assert np.all((rec.lfdr >= 0.0) & (rec.lfdr <= 1.0))
         assert 0.0 < rec.pi0_hat <= 1.0
         assert np.all(rec.ci_lo_conditional < rec.ci_hi_conditional)
         assert np.all(rec.ci_lo_marginal <= rec.ci_hi_marginal)
@@ -252,7 +252,7 @@ class TestRunStudy:
         def broken_fit(*args, **kwargs):
             raise error("synthetic failure")
 
-        monkeypatch.setattr(sim, "fit_mixture", broken_fit)
+        monkeypatch.setattr(posterior, "fit_mixture", broken_fit)
         monkeypatch.setattr(sim, "_pool_size", lambda n: 2)
         with time_limit(60):
             with pytest.raises(error, match=r"^experiment 0: synthetic failure$"):
@@ -260,14 +260,19 @@ class TestRunStudy:
             assert cli_main(["simulate", "--m", "200", "--experiments", "8"]) == code
         assert "experiment 0: synthetic failure" in capsys.readouterr().err
 
-    def test_dead_worker_fails_the_study(self, monkeypatch):
+    def test_dead_worker_fails_the_study(self, monkeypatch, capsys):
         def die(*args):
             os._exit(1)
 
         monkeypatch.setattr(sim, "generate_experiment", die)
         monkeypatch.setattr(sim, "_pool_size", lambda n: 2)
-        with time_limit(20), pytest.raises(BrokenProcessPool):
-            run_study(small_cfg(n_experiments=8))
+        with time_limit(20):
+            with pytest.raises(WorkerError, match="worker process died") as info:
+                run_study(small_cfg(n_experiments=8))
+            assert isinstance(info.value.__cause__, BrokenProcessPool)
+            assert cli_main(["simulate", "--m", "200", "--experiments", "8"]) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("worker error: ")
 
     def test_tracking_modes(self):
         cfg_first = small_cfg(track=TRACK_FIRST)
@@ -298,7 +303,7 @@ class TestRunStudy:
         def broken_fit(*args, **kwargs):
             raise FitError("synthetic failure")
 
-        monkeypatch.setattr(sim, "fit_mixture", broken_fit)
+        monkeypatch.setattr(posterior, "fit_mixture", broken_fit)
         with pytest.raises(FitError, match="experiment 0"):
             run_study(small_cfg(n_experiments=2))
 
