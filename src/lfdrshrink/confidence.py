@@ -5,6 +5,9 @@ induced distribution over the mean is the location-scale t with center at
 the sample mean, scale equal to the standard error, and n - 1 degrees of
 freedom. Its CDF acts as a significance function: a CDF in theta for fixed
 data, uniformly distributed at the true theta across repeated samples.
+
+``summarize`` is a batch of one of the t summaries ``posterior.shrink``
+computes, and ``shrink`` uses the formula of ``conditional_interval``.
 """
 
 from __future__ import annotations
@@ -68,25 +71,46 @@ class ConditionalPosterior:
             raise DomainError("ConditionalPosterior requires df > 0")
 
 
+def _t_summaries(data, theta0: float, feature_ids=None):
+    """Means, sds, ses, t statistics against theta0 and df = n - 1 of an
+    m-by-n matrix of replicate differences, one row per feature.
+
+    A DataError names the first row with fewer than two, non-finite or
+    all-equal values by its entry in ``feature_ids``, or by its row index
+    when no ids are given.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 2 or (data.shape[1] < 2 and not len(data)):
+        raise DataError("need a matrix with at least 2 replicate differences per feature")
+    m, n = data.shape
+    if feature_ids is not None and len(feature_ids) != m:
+        raise DataError(f"got {len(feature_ids)} feature ids for {m} features")
+    names = range(m) if feature_ids is None else feature_ids
+    if n < 2:
+        raise DataError(f"feature {names[0]!r}: need at least 2 replicate differences")
+    nonfinite = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if nonfinite.size:
+        raise DataError(f"feature {names[nonfinite[0]]!r}: non-finite replicate difference")
+    means = data.mean(axis=1)
+    sds = data.std(axis=1, ddof=1)
+    degenerate = np.flatnonzero(sds == 0.0)
+    if degenerate.size:
+        raise DataError(f"feature {names[degenerate[0]]!r}: replicate differences are all equal")
+    ses = sds / math.sqrt(n)
+    return means, sds, ses, (means - theta0) / ses, float(n - 1)
+
+
 def summarize(sample: PairedSample) -> TSummary:
     """Reduce one feature's differences to its t summary.
 
     Raises DataError for fewer than two replicates, non-finite values, or
-    a zero-variance (degenerate) sample.
+    a zero-variance (degenerate) sample, naming the feature by its id, or
+    as feature 0 when it has none.
     """
-    diffs = np.asarray(sample.diffs, dtype=np.float64)
-    label = f" (feature {sample.feature_id!r})" if sample.feature_id else ""
-    if diffs.ndim != 1 or diffs.size < 2:
-        raise DataError(f"need at least 2 replicate differences{label}")
-    if not np.all(np.isfinite(diffs)):
-        raise DataError(f"non-finite replicate difference{label}")
-    n = int(diffs.size)
-    mean = float(np.mean(diffs))
-    sd = float(np.std(diffs, ddof=1))
-    if sd == 0.0:
-        raise DataError(f"replicate differences are all equal{label}")
-    se = sd / math.sqrt(n)
-    return TSummary(mean=mean, sd=sd, n=n, se=se, t=mean / se, df=float(n - 1))
+    ids = (sample.feature_id,) if sample.feature_id else None
+    means, sds, ses, ts, df = _t_summaries([sample.diffs], 0.0, ids)
+    mean, sd, se, t = (float(column[0]) for column in (means, sds, ses, ts))
+    return TSummary(mean=mean, sd=sd, n=len(sample.diffs), se=se, t=t, df=df)
 
 
 def conditional_posterior(summary: TSummary) -> ConditionalPosterior:

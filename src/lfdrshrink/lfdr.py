@@ -37,6 +37,10 @@ DEFAULT_DEGREE = 6
 # clamp for the inner tail value so the normal quantile stays finite
 _PROBIT_EPS = 1e-15
 
+# IRLS stops when no coefficient moves more than _IRLS_TOL in one step
+_IRLS_TOL = 1e-8
+_IRLS_MAX_ITER = 50
+
 
 @dataclass(frozen=True)
 class ZVector:
@@ -101,14 +105,12 @@ def probit_transform(t_stat, df):
     return float(out) if out.ndim == 0 else out
 
 
-def _poisson_irls(
-    design: np.ndarray, counts: np.ndarray, tol: float, max_iter: int
-) -> np.ndarray:
+def _poisson_irls(design: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Fit log-linear Poisson expected counts by iteratively reweighted LS."""
     # least-squares on log(counts + 0.5) seeds close to the optimum
     eta = np.log(counts + 0.5)
     beta = np.linalg.lstsq(design, eta, rcond=None)[0]
-    for _ in range(max_iter):
+    for _ in range(_IRLS_MAX_ITER):
         eta = np.clip(design @ beta, -30.0, 30.0)
         mu = np.exp(eta)
         working = eta + (counts - mu) / mu
@@ -121,9 +123,9 @@ def _poisson_irls(
             raise FitError("Poisson regression diverged to non-finite coefficients")
         step = np.max(np.abs(beta_new - beta))
         beta = beta_new
-        if step <= tol:
+        if step <= _IRLS_TOL:
             return beta
-    raise FitError(f"Poisson regression did not converge in {max_iter} iterations")
+    raise FitError(f"Poisson regression did not converge in {_IRLS_MAX_ITER} iterations")
 
 
 def fit_mixture(
@@ -131,8 +133,6 @@ def fit_mixture(
     *,
     bins: int = DEFAULT_BINS,
     degree: int = DEFAULT_DEGREE,
-    tol: float = 1e-8,
-    max_iter: int = 50,
 ) -> MixtureFit:
     """Fit the marginal z density by Lindsey's method.
 
@@ -157,7 +157,7 @@ def fit_mixture(
     u = (mids - x_loc) / x_scale
     design = np.vander(u, degree + 1, increasing=True)
 
-    beta = _poisson_irls(design, counts, tol, max_iter)
+    beta = _poisson_irls(design, counts)
 
     # expected count -> density, then exact trapezoid normalization on the
     # midpoint grid

@@ -1,4 +1,4 @@
-"""Special functions and root finding used throughout the package.
+"""Special functions used throughout the package.
 
 Student-t and standard-normal CDFs/quantiles and the regularized
 incomplete beta function they rest on. Everything here is a pure
@@ -80,6 +80,10 @@ _T_EXACT_MAX_DF = 64.0
 # switch to the complement series.
 _T_SERIES_SWITCH = 0.01
 
+# iteration cap and relative-step stop of the incomplete-beta continued fraction
+_BETA_CF_MAX_ITER = 300
+_BETA_CF_TOL = 1e-15
+
 
 def _maybe_scalar(out: np.ndarray, *inputs) -> float | np.ndarray:
     if all(np.ndim(v) == 0 for v in inputs):
@@ -88,7 +92,6 @@ def _maybe_scalar(out: np.ndarray, *inputs) -> float | np.ndarray:
 
 
 def _lanczos_ln_gamma(x: np.ndarray) -> np.ndarray:
-    # valid for x >= 0.5; callers reflect smaller arguments
     series = np.full_like(x, _LANCZOS[0])
     for k in range(1, len(_LANCZOS)):
         series = series + _LANCZOS[k] / (x + (k - 1.0))
@@ -101,24 +104,14 @@ def ln_gamma(x):
     x_arr = np.asarray(x, dtype=np.float64)
     if not np.all(x_arr > 0.0):
         raise DomainError("ln_gamma requires x > 0")
-    small = x_arr < 0.5
-    if np.any(small):
-        y = np.where(small, 1.0 - x_arr, x_arr)
-        direct = _lanczos_ln_gamma(y)
-        # reflection: ln Gamma(x) = ln(pi / sin(pi x)) - ln Gamma(1 - x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            reflected = np.log(math.pi / np.sin(math.pi * x_arr)) - direct
-        out = np.where(small, reflected, direct)
-    else:
-        out = _lanczos_ln_gamma(x_arr)
-    return _maybe_scalar(out, x)
+    return _maybe_scalar(_lanczos_ln_gamma(x_arr), x)
 
 
 def _ln_beta(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _lanczos_ln_gamma(a) + _lanczos_ln_gamma(b) - _lanczos_ln_gamma(a + b)
 
 
-def _beta_continued_fraction(a, b, x, max_iter: int, tol: float) -> np.ndarray:
+def _beta_continued_fraction(a, b, x) -> np.ndarray:
     """Lentz evaluation of the continued fraction for I_x(a, b)."""
     tiny = 1e-300
     qab = a + b
@@ -132,7 +125,7 @@ def _beta_continued_fraction(a, b, x, max_iter: int, tol: float) -> np.ndarray:
     # freeze each lane at its own convergence point so results do not
     # depend on what else shares the batch (vector == scalar bitwise)
     converged = np.zeros(x.shape, dtype=bool)
-    for m in range(1, max_iter + 1):
+    for m in range(1, _BETA_CF_MAX_ITER + 1):
         active = ~converged
         m2 = 2.0 * m
         coeff = m * (b - m) * x / ((qam + m2) * (a + m2))
@@ -150,15 +143,15 @@ def _beta_continued_fraction(a, b, x, max_iter: int, tol: float) -> np.ndarray:
         d = 1.0 / d
         delta = d * c
         h = np.where(active, h * delta, h)
-        converged |= np.abs(delta - 1.0) < tol
+        converged |= np.abs(delta - 1.0) < _BETA_CF_TOL
         if np.all(converged):
             return h
     raise NumericError(
-        f"incomplete beta continued fraction did not converge in {max_iter} iterations"
+        f"incomplete beta continued fraction did not converge in {_BETA_CF_MAX_ITER} iterations"
     )
 
 
-def regularized_incomplete_beta(a, b, x, *, max_iter: int = 300, tol: float = 1e-15):
+def regularized_incomplete_beta(a, b, x):
     """Regularized incomplete beta function I_x(a, b).
 
     Uses the symmetry swap I_x(a,b) = 1 - I_{1-x}(b,a) whenever
@@ -187,7 +180,7 @@ def regularized_incomplete_beta(a, b, x, *, max_iter: int = 300, tol: float = 1e
         front = np.exp(ln_front)
     front = np.where(xx == 0.0, 0.0, front)
 
-    cf = _beta_continued_fraction(aa, bb, np.where(xx == 0.0, 0.0, xx), max_iter, tol)
+    cf = _beta_continued_fraction(aa, bb, np.where(xx == 0.0, 0.0, xx))
     val = front * cf / aa
     out = np.where(swap, 1.0 - val, val)
     out = np.clip(out, 0.0, 1.0)

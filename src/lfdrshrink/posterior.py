@@ -3,9 +3,9 @@ conditional t posterior, weighted by the feature's local false discovery
 rate. Shrunken quantiles, intervals, medians, and observed confidence
 levels all derive from inverting its CDF.
 
-``shrink`` runs the whole pipeline on a matrix of replicate differences;
-the scalar functions are batch-of-one calls of its quantile and
-confidence-level code.
+``shrink`` runs the whole pipeline on a matrix of replicate differences.
+``confidence.summarize`` and the scalar functions here are batch-of-one
+calls of its steps, so a per-feature loop reproduces its columns bit for bit.
 
 The quantile uses the generalized-inverse convention
 inf{theta : cdf(theta) >= alpha}, which the closed three-case form in
@@ -17,13 +17,12 @@ it, and the atom absorbs everything in between.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .confidence import ConditionalPosterior, conditional_cdf
-from .errors import DataError, DomainError
+from .confidence import ConditionalPosterior, _t_summaries, conditional_cdf
+from .errors import DomainError
 from .lfdr import DEFAULT_BINS, DEFAULT_DEGREE, MixtureFit, ZVector, fit_mixture, lfdr_at, probit_transform
 from .numerics import student_t_cdf, student_t_quantile
 
@@ -121,31 +120,18 @@ def shrink(
     The t and z statistics test the null that the mean equals theta0, and
     the intervals have central coverage ``level``. Non-finite values and
     zero-variance rows raise a DataError naming the feature by its entry
-    in ``feature_ids``, or by its row index when no ids are given.
+    in ``feature_ids``, or by its row index when no ids are given;
+    ``feature_ids`` must have one entry per row.
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2 or data.shape[1] < 2:
-        raise DataError("need a matrix with at least 2 replicate differences per feature")
-    m, n = data.shape
-    names = range(m) if feature_ids is None else feature_ids
-    nonfinite = np.flatnonzero(~np.isfinite(data).all(axis=1))
-    if nonfinite.size:
-        raise DataError(f"feature {names[nonfinite[0]]!r}: non-finite replicate difference")
-    means = data.mean(axis=1)
-    sds = data.std(axis=1, ddof=1)
-    degenerate = np.flatnonzero(sds == 0.0)
-    if degenerate.size:
-        raise DataError(f"feature {names[degenerate[0]]!r}: replicate differences are all equal")
-    ses = sds / math.sqrt(n)
-    ts = (means - theta0) / ses
-    df = float(n - 1)
-
+    means, _, ses, ts, df = _t_summaries(data, theta0, feature_ids)
     zs = probit_transform(ts, df)
     fit = fit_mixture(ZVector(zs, df), bins=bins, degree=degree)
     lf = lfdr_at(fit, zs)
 
     alpha = (1.0 - level) / 2.0
-    q = student_t_quantile(1.0 - alpha, df)
+    # conditional_interval's quantiles; the t quantile is lane-independent,
+    # so one two-lane call equals its two scalar calls bit for bit
+    t_lo, t_hi = student_t_quantile(np.array([alpha, 1.0 - alpha]), df)
     lo, hi, median = (
         marginal_quantile_batch(lf, means, ses, df, theta0, a) for a in (alpha, 1.0 - alpha, 0.5)
     )
@@ -157,8 +143,8 @@ def shrink(
         lfdr=lf,
         median_conditional=means,
         median_marginal=median,
-        ci_lo_conditional=means - q * ses,
-        ci_hi_conditional=means + q * ses,
+        ci_lo_conditional=means + ses * t_lo,
+        ci_hi_conditional=means + ses * t_hi,
         ci_lo_marginal=lo,
         ci_hi_marginal=hi,
         conf_below=below,

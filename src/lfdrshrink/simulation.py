@@ -5,8 +5,9 @@ pi0, otherwise +-effect with equal probability; every feature then gets n
 normal observations with a null- or alternative-specific sigma. The
 ``shrink`` pipeline of ``analyze`` (t summaries, probit transform, mixture
 fit, local fdr, marginal posterior) runs per experiment with the null
-value 0, and coverage, interval width, and median-error statistics are
-pooled across experiments.
+value 0; an experiment's records are its ``shrink`` columns plus two
+coverage flags, and coverage, interval width, and median-error statistics
+of the tracked features are pooled across experiments.
 
 Randomness is counter-based (Philox) with one substream per experiment
 derived from (seed, experiment index), so experiments are reproducible
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import DataError, DomainError, FitError, WorkerError
 from .numerics import normal_quantile
-from .posterior import shrink
+from .posterior import Shrinkage, shrink
 
 __all__ = [
     "SimConfig",
@@ -100,16 +101,10 @@ class ExperimentTruth:
 
 
 @dataclass(frozen=True)
-class ExperimentRecords:
-    """Per-feature pipeline outputs for one experiment."""
+class ExperimentRecords(Shrinkage):
+    """The ``shrink`` columns of one experiment, with per-feature flags for
+    whether each interval covers the true mean."""
 
-    pi0_hat: float
-    median_conditional: np.ndarray
-    median_marginal: np.ndarray
-    ci_lo_conditional: np.ndarray
-    ci_hi_conditional: np.ndarray
-    ci_lo_marginal: np.ndarray
-    ci_hi_marginal: np.ndarray
     covered_conditional: np.ndarray
     covered_marginal: np.ndarray
 
@@ -159,20 +154,12 @@ def analyze_experiment(
     truth: ExperimentTruth, data: np.ndarray, cfg: SimConfig
 ) -> ExperimentRecords:
     """Run the shrinkage pipeline on one experiment and flag coverage."""
-    shrunk = shrink(data, _NULL_VALUE, cfg.level)
+    s = shrink(data, _NULL_VALUE, cfg.level)
     thetas = truth.thetas
-    lo_c, hi_c = shrunk.ci_lo_conditional, shrunk.ci_hi_conditional
-    lo_m, hi_m = shrunk.ci_lo_marginal, shrunk.ci_hi_marginal
     return ExperimentRecords(
-        pi0_hat=shrunk.pi0_hat,
-        median_conditional=shrunk.median_conditional,
-        median_marginal=shrunk.median_marginal,
-        ci_lo_conditional=lo_c,
-        ci_hi_conditional=hi_c,
-        ci_lo_marginal=lo_m,
-        ci_hi_marginal=hi_m,
-        covered_conditional=(lo_c <= thetas) & (thetas <= hi_c),
-        covered_marginal=(lo_m <= thetas) & (thetas <= hi_m),
+        **vars(s),
+        covered_conditional=(s.ci_lo_conditional <= thetas) & (thetas <= s.ci_hi_conditional),
+        covered_marginal=(s.ci_lo_marginal <= thetas) & (thetas <= s.ci_hi_marginal),
     )
 
 

@@ -251,6 +251,11 @@ class TestAnalyze:
         with pytest.raises(DataError, match="'b'"):
             analyze(mat)
 
+    def test_feature_ids_of_the_wrong_length(self):
+        mat = simulated_matrix(m=300, n=4, pi0=0.9, seed=7)
+        with pytest.raises(DataError, match="299 feature ids for 300 features"):
+            analyze(InputMatrix(feature_ids=mat.feature_ids[1:], rows=mat.rows))
+
     def test_theta0_shifts_the_atom(self):
         mat = simulated_matrix(m=300, n=4, pi0=1.0, seed=7)
         shifted = InputMatrix(feature_ids=mat.feature_ids, rows=mat.rows + 5.0)

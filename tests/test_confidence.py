@@ -41,16 +41,16 @@ class TestSummarize:
         assert s.t * s.se == pytest.approx(s.mean, rel=1e-12)
 
     def test_degenerate_sample(self):
-        with pytest.raises(DataError):
-            summarize(PairedSample([0.0, 0.0]))
+        with pytest.raises(DataError, match=r"^feature 'g7': replicate differences are all equal$"):
+            summarize(PairedSample([0.0, 0.0], feature_id="g7"))
 
     def test_insufficient_data(self):
-        with pytest.raises(DataError):
-            summarize(PairedSample([1.0]))
+        with pytest.raises(DataError, match=r"^feature 'g7': need at least 2 replicate differences$"):
+            summarize(PairedSample([1.0], feature_id="g7"))
 
     def test_nonfinite(self):
-        with pytest.raises(DataError):
-            summarize(PairedSample([1.0, float("nan"), 2.0]))
+        with pytest.raises(DataError, match=r"^feature 'g7': non-finite replicate difference$"):
+            summarize(PairedSample([1.0, float("nan"), 2.0], feature_id="g7"))
 
 
 class TestConditionalCdf:

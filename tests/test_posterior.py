@@ -177,10 +177,12 @@ class TestBatchQuantile:
 
 
 class TestShrink:
-    def test_matches_readme_scalar_loop(self):
+    # at 0.9, t_df(alpha) != -t_df(1 - alpha) in the last bit
+    @pytest.mark.parametrize("level", [0.95, 0.9])
+    def test_matches_readme_scalar_loop(self, level):
         # the README's per-feature Library loop, with theta0 != 0
         rng = np.random.default_rng(31)
-        theta0, level = 0.4, 0.95
+        theta0 = 0.4
         shift = np.where(rng.random(300) < 0.8, 0.0, rng.choice([-2.0, 2.0], 300))
         rows = theta0 + shift[:, None] + rng.standard_normal((300, 4))
         features = [(f"g{i}", row) for i, row in enumerate(rows)]
@@ -223,6 +225,11 @@ class TestShrink:
         rows[7, 2] = np.nan
         with pytest.raises(DataError, match=r"^feature 7: non-finite replicate difference$"):
             shrink(rows, 0.0, 0.95)
+
+    def test_rejects_feature_ids_of_the_wrong_length(self):
+        rows = np.random.default_rng(33).standard_normal((200, 3))
+        with pytest.raises(DataError, match=r"^got 1 feature ids for 200 features$"):
+            shrink(rows, 0.0, 0.95, feature_ids=["a"])
 
     @pytest.mark.parametrize("shape", [(200,), (200, 1)])
     def test_rejects_fewer_than_two_replicates(self, shape):
