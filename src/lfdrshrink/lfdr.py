@@ -147,6 +147,12 @@ def fit_mixture(
     z_lo = float(np.min(zs)) - 0.1
     z_hi = float(np.max(zs)) + 0.1
     counts, edges = np.histogram(zs, bins=bins, range=(z_lo, z_hi))
+    # with fewer nonzero counts than coefficients the likelihood has no maximum
+    filled = np.count_nonzero(counts)
+    if filled < degree + 1:
+        raise FitError(
+            f"z values fill {filled} of {bins} histogram bins, too few for a degree-{degree} fit"
+        )
     counts = counts.astype(np.float64)
     mids = 0.5 * (edges[:-1] + edges[1:])
 

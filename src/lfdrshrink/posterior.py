@@ -8,11 +8,11 @@ levels all derive from inverting its CDF.
 calls of its steps, so a per-feature loop reproduces its columns bit for bit.
 
 The quantile uses the generalized-inverse convention
-inf{theta : cdf(theta) >= alpha}, which the closed three-case form in
-``marginal_quantile_batch`` matches exactly: the lower branch applies when
-the rescaled lower probability inverts strictly below the null value, the
-upper branch when the rescaled upper probability inverts strictly above
-it, and the atom absorbs everything in between.
+inf{theta : cdf(theta) >= alpha}. The observed confidence levels below and
+above the null value, (1 - lfdr) F0 and (1 - lfdr)(1 - F0) with F0 the
+conditional CDF at theta0, decide its side: q(alpha) < theta0 exactly when
+alpha < conf_below, q(alpha) > theta0 exactly when 1 - alpha < conf_above,
+and the atom absorbs everything in between.
 """
 
 from __future__ import annotations
@@ -121,8 +121,13 @@ def shrink(
     the intervals have central coverage ``level``. Non-finite values and
     zero-variance rows raise a DataError naming the feature by its entry
     in ``feature_ids``, or by its row index when no ids are given;
-    ``feature_ids`` must have one entry per row.
+    ``feature_ids`` must have one entry per row. A level outside (0, 1) or
+    a non-finite theta0 is a DomainError.
     """
+    if not 0.0 < level < 1.0:
+        raise DomainError(f"shrink requires 0 < level < 1, got {level}")
+    if not np.isfinite(theta0):
+        raise DomainError(f"shrink requires a finite theta0, got {theta0}")
     means, _, ses, ts, df = _t_summaries(data, theta0, feature_ids)
     zs = probit_transform(ts, df)
     fit = fit_mixture(ZVector(zs, df), bins=bins, degree=degree)
@@ -176,41 +181,26 @@ def marginal_quantile_batch(
     """Generalized inverse of the marginal CDF at alpha in (0, 1),
     elementwise over features sharing df and theta0.
 
+    A feature off the atom (module docstring) solves the conditional
+    quantile once, at alpha / (1 - lfdr) below theta0 or at
+    1 - (1 - alpha) / (1 - lfdr) above it, clamped to that side of theta0.
+
     ``lfdr``, ``center`` and ``scale`` broadcast together; all-scalar input
     gives a float.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError("marginal quantile requires 0 < alpha < 1")
-    lf, center, scale = np.broadcast_arrays(
-        np.asarray(lfdr, dtype=np.float64),
-        np.asarray(center, dtype=np.float64),
-        np.asarray(scale, dtype=np.float64),
-    )
-    shape = lf.shape
-    lf, center, scale = lf.reshape(-1), center.reshape(-1), scale.reshape(-1)
-    out = np.full(lf.shape, float(theta0))
+    arrays = (np.asarray(a, dtype=np.float64) for a in (lfdr, center, scale))
+    lf, center, scale = np.broadcast_arrays(*arrays)
+    _, below, _, above = _confidence_levels(lf, center, scale, df, theta0)
     keep = 1.0 - lf
-
-    with np.errstate(divide="ignore", over="ignore"):
-        p_low = np.where(keep > 0.0, alpha / keep, np.inf)
-        p_high = np.where(keep > 0.0, 1.0 - (1.0 - alpha) / keep, -np.inf)
-
-    # p_high <= p_low, so where the lower candidate falls below theta0 the
-    # upper one cannot rise above it: those lanes skip the upper solve
-    upper = p_high > 0.0
-    low = np.flatnonzero(p_low < 1.0)
-    if low.size:
-        cand = center[low] + scale[low] * student_t_quantile(p_low[low], df)
-        take = cand < theta0
-        out[low[take]] = cand[take]
-        upper[low[take]] = False
-
-    high = np.flatnonzero(upper)
-    if high.size:
-        cand = center[high] + scale[high] * student_t_quantile(p_high[high], df)
-        take = cand > theta0
-        out[high[take]] = cand[take]
-    out = out.reshape(shape)
+    low = alpha < below
+    with np.errstate(divide="ignore"):
+        p = np.where(low, alpha / keep, 1.0 - (1.0 - alpha) / keep)
+    solve = (low | (1.0 - alpha < above)) & (p > 0.0) & (p < 1.0)
+    q = center[solve] + scale[solve] * student_t_quantile(p[solve], df)
+    out = np.full(lf.shape, float(theta0))
+    out[solve] = np.where(low[solve], np.minimum(q, theta0), np.maximum(q, theta0))
     return float(out) if out.ndim == 0 else out
 
 

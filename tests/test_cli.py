@@ -410,6 +410,17 @@ class TestCliMain:
         lines = out.read_text().splitlines()
         assert len(lines) == m + 1
 
+    def test_far_null_value_names_the_filled_bins(self, tmp_path, capsys):
+        # every t statistic is huge, so every z clamps into one bin
+        rows = np.random.default_rng(32).standard_normal((150, 3))
+        text = "id\tr1\tr2\tr3\n" + "".join(
+            f"f{i}\t" + "\t".join(f"{v:.8f}" for v in row) + "\n" for i, row in enumerate(rows)
+        )
+        path = write(tmp_path, "mat.tsv", text)
+        assert cli_main(["analyze", "--input", path, "--theta0", "1e9"]) == 4
+        err = capsys.readouterr().err
+        assert "numeric error: z values fill 1 of 120 histogram bins, too few for a degree-6 fit" in err
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_device_is_data_error(self, tmp_path, capsys):
         path = golden_input(tmp_path, False)
@@ -421,10 +432,11 @@ class TestCliMain:
 
     def test_import_loads_no_process_pool(self):
         # the pool modules load only when a study starts workers, so they
-        # add nothing to the start-up time of every other command
+        # add nothing to the start-up time of every other command; scipy is
+        # a test oracle, never a runtime dependency
         code = (
-            "import sys, lfdrshrink.cli; "
-            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+            "import sys, lfdrshrink.cli; print([m for m in "
+            "('multiprocessing', 'concurrent.futures', 'scipy') if m in sys.modules])"
         )
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
         done = subprocess.run(

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lfdrshrink.errors import DataError
+from lfdrshrink.errors import DataError, FitError
 from lfdrshrink.lfdr import (
     MIN_FEATURES,
     MixtureFit,
@@ -133,6 +133,15 @@ class TestFitMixture:
     def test_insufficient_features(self):
         with pytest.raises(DataError):
             fit_mixture(ZVector(np.zeros(MIN_FEATURES - 1) + 0.1, 1.0))
+
+    def test_too_few_filled_bins(self):
+        # two distinct values fill two bins, fewer than a quadratic's three
+        # coefficients
+        zs = np.repeat([-1.0, 1.0], 100)
+        with pytest.raises(
+            FitError, match=r"^z values fill 2 of 50 histogram bins, too few for a degree-2 fit$"
+        ):
+            fit_mixture(ZVector(zs, 1.0), bins=50, degree=2)
 
     def test_histogram_range_pads_data(self):
         rng = np.random.default_rng(10)

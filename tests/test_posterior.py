@@ -1,5 +1,7 @@
 """Tests for the atom-plus-continuous marginal posterior."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -105,16 +107,23 @@ class TestMarginalQuantile:
             with pytest.raises(DomainError):
                 marginal_quantile(mp, bad)
 
-    def test_quantile_cdf_consistency(self):
+    # every t CDF kernel and quantile seed: non-integer, closed-form,
+    # finite-series, continued-fraction and large df
+    @pytest.mark.parametrize("df", [0.5, 1.0, 2.0, 3.0, 7.0, 80.0, 5000.0])
+    def test_quantile_cdf_consistency(self, df):
         rng = np.random.default_rng(17)
+        theta0 = 0.7
         for _ in range(200):
-            mp = random_marginal(rng)
+            base = random_marginal(rng)
+            mp = replace(base, theta0=theta0, conditional=replace(base.conditional, df=df))
             alpha = float(rng.uniform(0.01, 0.99))
-            jump_lo = (1.0 - mp.lfdr) * conditional_cdf(mp.conditional, mp.theta0)
-            jump_hi = jump_lo + mp.lfdr
+            levels = observed_confidence_levels(mp)
             q = marginal_quantile(mp, alpha)
-            if jump_lo < alpha <= jump_hi:
-                assert q == mp.theta0
+            # the observed confidence levels decide the side of theta0
+            assert (q < theta0) == (alpha < levels.below)
+            assert (q > theta0) == (1.0 - alpha < levels.above)
+            if levels.below < alpha <= levels.below + mp.lfdr:
+                assert q == theta0
             else:
                 assert marginal_cdf(mp, q) == pytest.approx(alpha, abs=1e-8)
 
@@ -160,7 +169,7 @@ class TestBatchQuantile:
         flat = marginal_quantile_batch(lf.ravel(), centers.ravel(), 1.0, 3.0, 0.0, 0.5)
         np.testing.assert_array_equal(out.ravel(), flat)
 
-    def test_lanes_won_below_skip_the_upper_solve(self, monkeypatch):
+    def test_solves_only_lanes_off_the_atom(self, monkeypatch):
         solved = []
 
         def counting(p, df):
@@ -169,11 +178,11 @@ class TestBatchQuantile:
 
         monkeypatch.setattr(posterior, "student_t_quantile", counting)
         # lane 0 lies far below theta0 and lane 1 far above; lane 2 sits in
-        # the atom with neither candidate probability inside (0, 1)
+        # the atom, with alpha >= conf_below and 1 - alpha >= conf_above
         out = marginal_quantile_batch([0.1, 0.1, 0.9], [-5.0, 5.0, 0.1], 1.0, 3.0, 0.0, 0.5)
         assert out[0] < 0.0 < out[1] and out[2] == 0.0
-        # lanes 0 and 1 solve the lower candidate, and only lane 1 the upper
-        assert solved == [2, 1]
+        # one call: lane 0 solves its lower branch and lane 1 its upper one
+        assert solved == [2]
 
 
 class TestShrink:
@@ -230,6 +239,16 @@ class TestShrink:
         rows = np.random.default_rng(33).standard_normal((200, 3))
         with pytest.raises(DataError, match=r"^got 1 feature ids for 200 features$"):
             shrink(rows, 0.0, 0.95, feature_ids=["a"])
+
+    @pytest.mark.parametrize(
+        "theta0, level, name",
+        [(0.0, 1.5, "level"), (0.0, 0.0, "level"), (0.0, np.nan, "level"),
+         (np.nan, 0.95, "theta0"), (np.inf, 0.95, "theta0")],
+    )
+    def test_rejects_bad_level_and_theta0(self, theta0, level, name):
+        rows = np.random.default_rng(34).standard_normal((200, 3))
+        with pytest.raises(DomainError, match=rf"^shrink requires .*\b{name}\b"):
+            shrink(rows, theta0, level)
 
     @pytest.mark.parametrize("shape", [(200,), (200, 1)])
     def test_rejects_fewer_than_two_replicates(self, shape):
