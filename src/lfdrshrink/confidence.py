@@ -65,8 +65,10 @@ class ConditionalPosterior:
     df: float
 
     def __post_init__(self):
-        if not self.scale > 0.0:
-            raise DomainError("ConditionalPosterior requires scale > 0")
+        if not math.isfinite(self.center):
+            raise DomainError(f"ConditionalPosterior requires a finite center, got {self.center}")
+        if not (math.isfinite(self.scale) and self.scale > 0.0):
+            raise DomainError(f"ConditionalPosterior requires a finite scale > 0, got {self.scale}")
         if not self.df > 0.0:
             raise DomainError("ConditionalPosterior requires df > 0")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, FitError
+from .errors import DataError, DomainError, FitError
 from .numerics import normal_pdf, normal_quantile, student_t_cdf
 
 __all__ = [
@@ -137,8 +137,13 @@ def fit_mixture(
     """Fit the marginal z density by Lindsey's method.
 
     Deterministic given the z values: identical inputs give bit-identical
-    coefficients. Requires at least MIN_FEATURES features.
+    coefficients. Requires at least MIN_FEATURES features; ``bins`` or
+    ``degree`` below 1 is a DomainError.
     """
+    if bins < 1:
+        raise DomainError(f"fit_mixture requires bins >= 1, got {bins}")
+    if degree < 1:
+        raise DomainError(f"fit_mixture requires degree >= 1, got {degree}")
     zs = zv.zs
     m = zs.size
     if m < MIN_FEATURES:

@@ -17,6 +17,7 @@ and the atom absorbs everything in between.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,8 @@ class MarginalPosterior:
     def __post_init__(self):
         if not 0.0 <= self.lfdr <= 1.0:
             raise DomainError("MarginalPosterior requires lfdr in [0, 1]")
+        if not math.isfinite(self.theta0):
+            raise DomainError(f"MarginalPosterior requires a finite theta0, got {self.theta0}")
 
 
 @dataclass(frozen=True)
@@ -137,10 +140,11 @@ def shrink(
     # conditional_interval's quantiles; the t quantile is lane-independent,
     # so one two-lane call equals its two scalar calls bit for bit
     t_lo, t_hi = student_t_quantile(np.array([alpha, 1.0 - alpha]), df)
-    lo, hi, median = (
-        marginal_quantile_batch(lf, means, ses, df, theta0, a) for a in (alpha, 1.0 - alpha, 0.5)
-    )
     f_at_null, below, at_null, above = _confidence_levels(lf, means, ses, df, theta0)
+    lo, hi, median = (
+        _marginal_quantile(lf, means, ses, df, theta0, a, below, above)
+        for a in (alpha, 1.0 - alpha, 0.5)
+    )
     return Shrinkage(
         mean=means,
         t=ts,
@@ -193,6 +197,13 @@ def marginal_quantile_batch(
     arrays = (np.asarray(a, dtype=np.float64) for a in (lfdr, center, scale))
     lf, center, scale = np.broadcast_arrays(*arrays)
     _, below, _, above = _confidence_levels(lf, center, scale, df, theta0)
+    out = _marginal_quantile(lf, center, scale, df, theta0, alpha, below, above)
+    return float(out) if out.ndim == 0 else out
+
+
+def _marginal_quantile(lf, center, scale, df, theta0, alpha, below, above) -> np.ndarray:
+    """``marginal_quantile_batch`` on arrays of one shape, given the
+    observed confidence levels ``below`` and ``above`` theta0."""
     keep = 1.0 - lf
     low = alpha < below
     with np.errstate(divide="ignore"):
@@ -201,7 +212,7 @@ def marginal_quantile_batch(
     q = center[solve] + scale[solve] * student_t_quantile(p[solve], df)
     out = np.full(lf.shape, float(theta0))
     out[solve] = np.where(low[solve], np.minimum(q, theta0), np.maximum(q, theta0))
-    return float(out) if out.ndim == 0 else out
+    return out
 
 
 def _quantile(mp: MarginalPosterior, alpha: float) -> float:

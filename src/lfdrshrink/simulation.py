@@ -17,16 +17,19 @@ inverse CDF of uniform draws for cross-platform determinism.
 
 ``run_study`` runs the experiments on a pool of forked worker processes,
 one per CPU the process may use, and collects their results in index
-order, so the report does not depend on the pool. It runs them in the
-calling process when only one CPU is usable (``taskset -c 0``), off
+order, so the report does not depend on the pool. The pool is
+``_fork_map``, which the CLI's table writer shares. It runs the calls in
+the calling process when only one CPU is usable (``taskset -c 0``), off
 Linux (fork is unsafe on macOS and missing on Windows), while the
 process runs other threads, and inside a daemonic process, which may not
 start children. A worker that dies, for example killed by the
-out-of-memory killer, fails the study with a WorkerError.
+out-of-memory killer, raises a WorkerError.
 """
 
 from __future__ import annotations
 
+import collections
+import itertools
 import os
 import sys
 import threading
@@ -182,18 +185,72 @@ def _run_one(cfg: SimConfig, index: int):
     )
 
 
-def _pool_size(n_experiments: int) -> int:
-    """Worker processes for a study; 1 runs it in the calling process."""
+def _pool_size(tasks: int) -> int:
+    """Worker processes for ``tasks`` calls; 1 runs them in the calling process."""
     # a forked child holds only the forking thread, and any lock another
     # thread held at the fork stays locked in it
     if sys.platform != "linux" or threading.active_count() > 1:
         return 1
-    workers = min(len(os.sched_getaffinity(0)), n_experiments)
+    workers = min(len(os.sched_getaffinity(0)), tasks)
     if workers < 2:
         return 1
     import multiprocessing
 
     return 1 if multiprocessing.current_process().daemon else workers
+
+
+# the function the workers of the running pool call; set before the pool
+# forks them, so they inherit it with the rest of the caller's memory
+_FORKED_FN = None
+
+
+def _call_forked(batch):
+    return [_FORKED_FN(item) for item in batch]
+
+
+def _fork_map(fn, items, tasks: int, chunksize: int = 1):
+    """Yield ``fn(item)`` for each item, in order, computed on forked
+    workers, at most ``tasks`` of them, or in the calling process when
+    ``_pool_size(tasks)`` is 1.
+
+    The workers inherit ``fn`` and whatever it refers to, so only the
+    items and the results are pickled, ``chunksize`` items to a message.
+    At most two messages per worker are queued or finished ahead of the
+    caller, so the results of a slow caller do not pile up in memory. A
+    worker that dies raises a WorkerError. Closing the generator early
+    cancels the queued calls.
+    """
+    global _FORKED_FN
+    workers = _pool_size(tasks)
+    if workers == 1:
+        yield from map(fn, items)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    context = multiprocessing.get_context("fork")
+    # a pool runs only while this is the one thread, so no other pool
+    # can replace the function before this one's workers are forked
+    _FORKED_FN = fn
+    pending = collections.deque()
+    try:
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            try:
+                items = iter(items)
+                for batch in iter(lambda: list(itertools.islice(items, chunksize)), []):
+                    pending.append(pool.submit(_call_forked, batch))
+                    if len(pending) > 2 * workers:
+                        yield from pending.popleft().result()
+                while pending:
+                    yield from pending.popleft().result()
+            finally:
+                for future in pending:
+                    future.cancel()
+    except BrokenProcessPool as exc:
+        raise WorkerError(f"a worker process died: {exc}") from exc
+    finally:
+        _FORKED_FN = None
 
 
 def _stack(parts, count: int) -> list[np.ndarray]:
@@ -214,24 +271,12 @@ def run_study(cfg: SimConfig) -> CoverageReport:
     Deterministic given cfg: substreams fix each experiment regardless of
     execution order, and aggregation follows experiment index.
     """
-    run_one = partial(_run_one, cfg)
-    indices = range(cfg.n_experiments)
-    workers = _pool_size(cfg.n_experiments)
-    if workers > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        from concurrent.futures.process import BrokenProcessPool
-
-        context = multiprocessing.get_context("fork")
-        try:
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                # a larger chunk sends more results in one message, raising peak RSS
-                columns = _stack(pool.map(run_one, indices, chunksize=4), cfg.n_experiments)
-        except BrokenProcessPool as exc:
-            raise WorkerError(f"a worker process died: {exc}") from exc
-    else:
-        columns = _stack(map(run_one, indices), cfg.n_experiments)
+    # one message per experiment costs ~10% more CPU; a larger chunk
+    # holds more results in memory at once
+    results = _fork_map(
+        partial(_run_one, cfg), range(cfg.n_experiments), cfg.n_experiments, chunksize=4
+    )
+    columns = _stack(results, cfg.n_experiments)
 
     cov_m, cov_c, wid_m, wid_c, err_m, err_c = columns
     return CoverageReport(

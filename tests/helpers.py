@@ -1,4 +1,7 @@
-"""Shared test oracles."""
+"""Shared test oracles and utilities."""
+
+import contextlib
+import signal
 
 import numpy as np
 
@@ -47,3 +50,20 @@ def random_marginal(rng: np.random.Generator) -> MarginalPosterior:
             df=float(rng.choice([1.0, 2.0, 3.0, 5.0, 10.0, 30.0])),
         ),
     )
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Raise TimeoutError in the calling thread after ``seconds``, so a
+    hung process pool fails its test instead of stalling the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -3,11 +3,15 @@
 import os
 import subprocess
 import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 import lfdrshrink.cli as cli
+from helpers import time_limit
+from lfdrshrink import simulation as sim
 from lfdrshrink.cli import (
     REPORT_COLUMNS,
     InputMatrix,
@@ -17,7 +21,7 @@ from lfdrshrink.cli import (
     read_matrix,
     write_analysis_plots,
 )
-from lfdrshrink.errors import DataError
+from lfdrshrink.errors import DataError, WorkerError
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_REPORT = os.path.join(GOLDEN_DIR, "golden_simulate_report.tsv")
@@ -535,3 +539,97 @@ class TestGoldenAnalyze:
         assert out.read_bytes() == golden_bytes("golden_analyze_paired_report.tsv")
         for name in GOLDEN_PLOTS:
             assert (plots / name).read_bytes() == golden_bytes(f"golden_analyze_paired_{name}")
+
+
+class TestPooledWriter:
+    """Tables of _POOL_MIN_ROWS rows or more are formatted on forked
+    workers, and their bytes equal the serial (golden) ones."""
+
+    CHUNK = 50  # 300 golden rows -> 6 chunks per table
+
+    @pytest.fixture
+    def pids(self, monkeypatch, tmp_path):
+        """Log the pid that formats each chunk; force two workers."""
+        log = tmp_path / "pids"
+        log.write_text("")
+        format_rows = cli._format_rows
+
+        def logged(*args):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            # hold the worker long enough for the other to take the next chunk
+            time.sleep(0.05)
+            return format_rows(*args)
+
+        monkeypatch.setattr(cli, "_format_rows", logged)
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", self.CHUNK)
+        # two workers on a host with two or more CPUs
+        monkeypatch.setattr(sim, "_pool_size", lambda tasks: min(tasks, 2))
+
+        def read():
+            found = log.read_text().split()
+            log.write_text("")
+            return found
+
+        return read
+
+    def test_small_tables_stay_serial(self, tmp_path, capsys, pids):
+        out = tmp_path / "report.tsv"
+        rc = cli_main(["analyze", "--input", golden_input(tmp_path, False), "--output", str(out)])
+        assert rc == 0
+        capsys.readouterr()
+        assert out.read_bytes() == golden_bytes("golden_analyze_report.tsv")
+        assert pids() == [str(os.getpid())] * 6
+
+    def test_report_plots_and_stdout_match_serial(self, monkeypatch, tmp_path, capfd, pids):
+        monkeypatch.setattr(cli, "_POOL_MIN_ROWS", 1)
+        parent = str(os.getpid())
+        out = tmp_path / "report.tsv"
+        plots = tmp_path / "plots"
+        paired = golden_input(tmp_path, True)
+        with time_limit(60):
+            result = analyze(read_matrix(paired, paired=[("T1", "C1"), ("T2", "C2"), ("T3", "C3")]))
+            emit_report(result, str(out))
+            report_pids = pids()
+            write_analysis_plots(result, str(plots))
+            plot_pids = pids()
+            rc = cli_main(["analyze", "--input", golden_input(tmp_path, False), "--output", "-"])
+        assert rc == 0
+        assert capfd.readouterr().out.encode("utf-8") == golden_bytes("golden_analyze_report.tsv")
+        assert out.read_bytes() == golden_bytes("golden_analyze_paired_report.tsv")
+        for name in GOLDEN_PLOTS:
+            assert (plots / name).read_bytes() == golden_bytes(f"golden_analyze_paired_{name}")
+        # the report on one pool, the three plot tables on a second one
+        assert len(report_pids) == 6 and len(plot_pids) == 18
+        assert len(set(report_pids)) == len(set(plot_pids)) == 2
+        assert not set(report_pids) & set(plot_pids)
+        assert parent not in report_pids + plot_pids
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_through_the_pool(self, monkeypatch, tmp_path, capsys, pids):
+        monkeypatch.setattr(cli, "_POOL_MIN_ROWS", 1)
+        path = golden_input(tmp_path, False)
+        with time_limit(60):
+            assert cli_main(["analyze", "--input", path, "--output", "/dev/full"]) == 3
+        assert "data error: cannot write /dev/full" in capsys.readouterr().err
+        found = pids()
+        assert found and str(os.getpid()) not in found
+
+    def test_dead_worker_is_a_worker_error(self, monkeypatch, tmp_path, capsys):
+        def die(*args):
+            os._exit(1)
+
+        monkeypatch.setattr(cli, "_format_rows", die)
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", self.CHUNK)
+        monkeypatch.setattr(cli, "_POOL_MIN_ROWS", 1)
+        # two workers on a host with two or more CPUs
+        monkeypatch.setattr(sim, "_pool_size", lambda tasks: min(tasks, 2))
+        path = golden_input(tmp_path, False)
+        with time_limit(20):
+            result = analyze(read_matrix(path))
+            with pytest.raises(WorkerError, match="worker process died") as info:
+                emit_report(result, str(tmp_path / "report.tsv"))
+            assert isinstance(info.value.__cause__, BrokenProcessPool)
+            assert cli_main(["analyze", "--input", path, "--output", str(tmp_path / "r.tsv")]) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("worker error: ")

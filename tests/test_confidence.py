@@ -53,6 +53,17 @@ class TestSummarize:
             summarize(PairedSample([1.0, float("nan"), 2.0], feature_id="g7"))
 
 
+class TestConditionalPosterior:
+    @pytest.mark.parametrize("center", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_center(self, center):
+        with pytest.raises(DomainError, match=r"^ConditionalPosterior requires a finite center"):
+            ConditionalPosterior(center=center, scale=1.0, df=3.0)
+
+    def test_rejects_infinite_scale(self):
+        with pytest.raises(DomainError, match=r"^ConditionalPosterior requires a finite scale > 0"):
+            ConditionalPosterior(center=1.0, scale=np.inf, df=3.0)
+
+
 class TestConditionalCdf:
     def test_median_at_center(self):
         cp = ConditionalPosterior(center=1.7, scale=0.4, df=5.0)

@@ -18,7 +18,7 @@ from lfdrshrink.confidence import (
 from lfdrshrink import posterior
 from lfdrshrink.errors import DataError, DomainError
 from lfdrshrink.lfdr import ZVector, fit_mixture, lfdr_at, probit_transform
-from lfdrshrink.numerics import student_t_quantile
+from lfdrshrink.numerics import student_t_cdf, student_t_quantile
 from lfdrshrink.posterior import (
     MarginalPosterior,
     marginal_cdf,
@@ -250,10 +250,38 @@ class TestShrink:
         with pytest.raises(DomainError, match=rf"^shrink requires .*\b{name}\b"):
             shrink(rows, theta0, level)
 
+    @pytest.mark.parametrize("bins, degree, name, value", [
+        (0, 6, "bins", 0), (120, 0, "degree", 0), (120, -1, "degree", -1),
+    ])
+    def test_rejects_bad_bins_and_degree(self, bins, degree, name, value):
+        rows = np.random.default_rng(35).standard_normal((300, 3))
+        with pytest.raises(DomainError, match=rf"^fit_mixture requires {name} >= 1, got {value}$"):
+            shrink(rows, 0.0, 0.95, bins=bins, degree=degree)
+
+    def test_one_t_cdf_pass_at_theta0(self, monkeypatch):
+        calls = []
+
+        def counting(t, df):
+            calls.append(np.size(t))
+            return student_t_cdf(t, df)
+
+        monkeypatch.setattr(posterior, "student_t_cdf", counting)
+        shrink(np.random.default_rng(36).standard_normal((300, 3)), 0.0, 0.95)
+        # the confidence levels and all three marginal quantiles share it
+        assert calls == [300]
+
     @pytest.mark.parametrize("shape", [(200,), (200, 1)])
     def test_rejects_fewer_than_two_replicates(self, shape):
         with pytest.raises(DataError, match="at least 2 replicate differences"):
             shrink(np.ones(shape), 0.0, 0.95)
+
+
+class TestMarginalPosterior:
+    @pytest.mark.parametrize("theta0", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_theta0(self, theta0):
+        # a NaN theta0 used to give NaN medians and a non-degenerate interval
+        with pytest.raises(DomainError, match=r"^MarginalPosterior requires a finite theta0"):
+            make_mp(0.2, theta0=theta0)
 
 
 class TestShrunkenInterval:

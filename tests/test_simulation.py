@@ -1,11 +1,9 @@
 """Tests for the Monte-Carlo coverage harness."""
 
-import contextlib
 import dataclasses
 import math
 import multiprocessing
 import os
-import signal
 import sys
 import threading
 import time
@@ -14,6 +12,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
+from helpers import time_limit
 from lfdrshrink import posterior
 from lfdrshrink import simulation as sim
 from lfdrshrink.cli import cli_main
@@ -47,20 +46,6 @@ def assert_same_report(a: CoverageReport, b: CoverageReport):
                 assert xs.tobytes() == ys.tobytes()
         else:
             assert type(x) is type(y) and x == y, field.name
-
-
-@contextlib.contextmanager
-def time_limit(seconds: int):
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 class TestSimConfig:
@@ -220,6 +205,26 @@ class TestRunStudy:
         assert len(pool_pids) == cfg.n_experiments
         assert len(set(pool_pids)) == 2 and str(os.getpid()) not in pool_pids
         assert_same_report(serial, pooled)
+
+    def test_pool_runs_at_most_two_calls_per_worker_ahead(self, monkeypatch, tmp_path):
+        log = tmp_path / "calls"
+        log.write_text("")
+
+        def call(item):
+            with open(log, "a") as handle:
+                handle.write(f"{item}\n")
+            return item
+
+        monkeypatch.setattr(sim, "_pool_size", lambda tasks: 2)
+        with time_limit(60):
+            results = sim._fork_map(call, range(40), 40)
+            assert next(results) == 0
+            time.sleep(0.5)
+            started = len(log.read_text().split())
+            assert list(results) == list(range(1, 40))
+        # the one result taken, plus two single-item messages per worker
+        assert started <= 1 + 2 * 2
+        assert sorted(map(int, log.read_text().split())) == list(range(40))
 
     @pytest.mark.parametrize(
         "platform, threads, cpus, n_experiments, expected",
