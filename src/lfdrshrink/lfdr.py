@@ -2,7 +2,8 @@
 
 The m per-feature t statistics are mapped to the z scale (normal quantile
 of the t CDF), where a true null gives z ~ N(0,1). The marginal z density
-is fit by Lindsey's method: histogram the z values, model expected bin
+is fit by Lindsey's method: histogram the z values, clipped at |z| <= 7.941
+so one extreme statistic cannot stretch the bins, model expected bin
 counts as exp(polynomial in bin midpoint) via Poisson regression, and
 normalize. The null proportion comes from central matching at zero, and
 each feature's local false discovery rate is the null-to-marginal density
@@ -34,8 +35,9 @@ DEFAULT_BINS = 120
 # shoulder enough to cost interval coverage downstream.
 DEFAULT_DEGREE = 6
 
-# clamp for the inner tail value so the normal quantile stays finite
-_PROBIT_EPS = 1e-15
+# the fit and lfdr see z clipped at |z| <= 7.941, so one extreme statistic
+# cannot stretch the histogram range; this is -normal_quantile(1e-15)
+_Z_CLIP = 7.941345326170995
 
 # IRLS stops when no coefficient moves more than _IRLS_TOL in one step
 _IRLS_TOL = 1e-8
@@ -95,11 +97,12 @@ def probit_transform(t_stat, df):
 
     z is computed from the lower tail F(-|t|) and given the sign of t, so
     both tails keep full precision and z(-t) = -z(t) exactly. The tail
-    value is clamped away from 0 so extreme statistics map to finite z
-    rather than raising.
+    value is floored at the smallest normal double, so z stays finite
+    (|z| <= 37.5) and is otherwise the true normal score. ``fit_mixture``
+    and ``lfdr_at`` clip z at |z| <= 7.941 themselves.
     """
     t_arr = np.asarray(t_stat, dtype=np.float64)
-    lower = np.maximum(student_t_cdf(-np.abs(t_arr), df), _PROBIT_EPS)
+    lower = np.maximum(student_t_cdf(-np.abs(t_arr), df), np.finfo(np.float64).tiny)
     z = normal_quantile(lower)
     out = np.where(t_arr > 0.0, -z, z)
     return float(out) if out.ndim == 0 else out
@@ -137,14 +140,15 @@ def fit_mixture(
     """Fit the marginal z density by Lindsey's method.
 
     Deterministic given the z values: identical inputs give bit-identical
-    coefficients. Requires at least MIN_FEATURES features; ``bins`` or
+    coefficients. The z values are clipped at |z| <= 7.941 before the
+    histogram. Requires at least MIN_FEATURES features; ``bins`` or
     ``degree`` below 1 is a DomainError.
     """
     if bins < 1:
         raise DomainError(f"fit_mixture requires bins >= 1, got {bins}")
     if degree < 1:
         raise DomainError(f"fit_mixture requires degree >= 1, got {degree}")
-    zs = zv.zs
+    zs = np.clip(zv.zs, -_Z_CLIP, _Z_CLIP)
     m = zs.size
     if m < MIN_FEATURES:
         raise DataError(f"mixture fit needs at least {MIN_FEATURES} features, got {m}")
@@ -201,11 +205,12 @@ def fit_mixture(
 def lfdr_at(fit: MixtureFit, z):
     """Local false discovery rate min(1, pi0 * phi(z) / f(z)).
 
-    The theoretical null density is the standard normal. Outside z_range
-    the fitted log-polynomial extrapolates; use ``MixtureFit.in_range``
-    when the extrapolation flag matters.
+    The theoretical null density is the standard normal. z is clipped at
+    |z| <= 7.941, like the z the fit saw. Outside z_range the fitted
+    log-polynomial extrapolates; use ``MixtureFit.in_range`` when the
+    extrapolation flag matters.
     """
-    z_arr = np.asarray(z, dtype=np.float64)
+    z_arr = np.clip(np.asarray(z, dtype=np.float64), -_Z_CLIP, _Z_CLIP)
     raw = fit.pi0_hat * normal_pdf(z_arr) / fit.density(z_arr)
     out = np.clip(raw, 0.0, 1.0)
     return float(out) if np.ndim(z) == 0 else out

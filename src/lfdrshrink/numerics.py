@@ -21,8 +21,9 @@ The t quantile is closed-form for df = 1 and df = 2. Other df start from
 Hill's expansion (1970, CACM Algorithm 396) and are polished by
 safeguarded Newton steps on the tail that iterate only the lanes that
 have not converged. Also used: a Lanczos series for the log-gamma
-function, Cody's rational approximations for erfc, and Acklam's rational
-approximation (plus one Halley polish) for the normal quantile.
+function, Cody's rational approximations for erfc (behind ``normal_cdf``
+and the df > 3000 t limit), and Wichura's AS 241 for the normal quantile,
+accurate to about 1 ulp.
 """
 
 from __future__ import annotations
@@ -567,73 +568,108 @@ def normal_pdf(z):
     return _maybe_scalar(out, z)
 
 
-# Acklam's rational approximation for the inverse normal CDF.
-_ACKLAM_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
+# Wichura (1988), Algorithm AS 241 (PPND16), Applied Statistics 37(3),
+# 477-484: numerator and denominator coefficients of three degree-7
+# rational approximations, constant term first.
+_AS241_A = (  # |p - 1/2| <= 0.425, in r = 0.180625 - (p - 1/2)^2
+    3.387132872796366608,
+    133.14166789178437745,
+    1971.5909503065514427,
+    13731.693765509461125,
+    45921.953931549871457,
+    67265.770927008700853,
+    33430.575583588128105,
+    2509.0809287301226727,
 )
-_ACKLAM_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
+_AS241_B = (
+    1.0,
+    42.313330701600911252,
+    687.1870074920579083,
+    5394.1960214247511077,
+    21213.794301586595867,
+    39307.89580009271061,
+    28729.085735721942674,
+    5226.495278852545925,
 )
-_ACKLAM_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
+_AS241_C = (  # r = sqrt(-log(min(p, 1 - p))) <= 5, in r - 1.6
+    1.42343711074968357734,
+    4.6303378461565452959,
+    5.7694972214606914055,
+    3.64784832476320460504,
+    1.27045825245236838258,
+    0.24178072517745061177,
+    0.0227238449892691845833,
+    7.7454501427834140764e-4,
 )
-_ACKLAM_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
+_AS241_D = (
+    1.0,
+    2.05319162663775882187,
+    1.6763848301838038494,
+    0.68976733498510000455,
+    0.14810397642748007459,
+    0.0151986665636164571966,
+    5.475938084995344946e-4,
+    1.05075007164441684324e-9,
 )
-_ACKLAM_P_LOW = 0.02425
+_AS241_E = (  # r > 5, in r - 5
+    6.6579046435011037772,
+    5.4637849111641143699,
+    1.7848265399172913358,
+    0.29656057182850489123,
+    0.026532189526576123093,
+    0.0012426609473880784386,
+    2.71155556874348757815e-5,
+    2.01033439929228813265e-7,
+)
+_AS241_F = (
+    1.0,
+    0.59983220655588793769,
+    0.13692988092273580531,
+    0.0148753612908506148525,
+    7.868691311456132591e-4,
+    1.8463183175100546818e-5,
+    1.4215117583164458887e-7,
+    2.04426310338993978564e-15,
+)
 
 
-def _acklam_tail(q: np.ndarray) -> np.ndarray:
-    c = _ACKLAM_C
-    d = _ACKLAM_D
-    num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-    den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-    return num / den
+def _rational(x: np.ndarray, num, den) -> np.ndarray:
+    # Horner's rule for num(x) / den(x), in place on two work arrays
+    n = num[-1] * x
+    d = den[-1] * x
+    for k in range(len(num) - 2, 0, -1):
+        n += num[k]
+        n *= x
+        d += den[k]
+        d *= x
+    n += num[0]
+    d += den[0]
+    n /= d
+    return n
 
 
 def _normal_quantile_array(p: np.ndarray) -> np.ndarray:
-    a = _ACKLAM_A
-    b = _ACKLAM_B
-    out = np.empty_like(p)
+    """AS 241 on any shape of p in (0, 1), to about 1 ulp.
 
-    low = p < _ACKLAM_P_LOW
-    high = p > 1.0 - _ACKLAM_P_LOW
-    central = ~low & ~high
-
-    pc = p[central]
-    q = pc - 0.5
-    r = q * q
-    num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-    den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-    out[central] = num * q / den
-
-    out[low] = _acklam_tail(np.sqrt(-2.0 * np.log(p[low])))
-    out[high] = -_acklam_tail(np.sqrt(-2.0 * np.log(1.0 - p[high])))
-
-    # one Halley polish against the accurate CDF
-    e = _normal_cdf_array(out) - p
-    with np.errstate(over="ignore"):
-        u = e * _SQRT_2PI * np.exp(0.5 * out * out)
-    polished = out - u / (1.0 + 0.5 * out * u)
-    out = np.where(np.isfinite(polished), polished, out)
-    return out
+    The central branch runs on every lane (its denominator has no zero
+    for |p - 1/2| <= 1/2) and the tail lanes are overwritten by index.
+    Both branches depend on p only through |p - 1/2| and min(p, 1 - p),
+    which are exact for p >= 1/2, so x(1 - p) = -x(p) exactly there.
+    """
+    flat = p.reshape(-1)
+    q = flat - 0.5
+    out = _rational(0.180625 - q * q, _AS241_A, _AS241_B)
+    out *= q
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    if tail.size:
+        pt = flat[tail]
+        r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
+        x = _rational(r - 1.6, _AS241_C, _AS241_D)
+        far = np.flatnonzero(r > 5.0)
+        if far.size:
+            x[far] = _rational(r[far] - 5.0, _AS241_E, _AS241_F)
+        out[tail] = np.where(q[tail] < 0.0, -x, x)
+    return out.reshape(p.shape)
 
 
 def normal_quantile(p):
@@ -641,6 +677,5 @@ def normal_quantile(p):
     p_arr = np.asarray(p, dtype=np.float64)
     if not np.all((p_arr > 0.0) & (p_arr < 1.0)):
         raise DomainError("normal_quantile requires 0 < p < 1")
-    out = _normal_quantile_array(np.atleast_1d(p_arr))
-    return _maybe_scalar(out.reshape(p_arr.shape), p)
+    return _maybe_scalar(_normal_quantile_array(p_arr), p)
 

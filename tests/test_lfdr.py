@@ -52,10 +52,20 @@ class TestProbitTransform:
         assert np.all(np.diff(z) > 0)
 
     def test_extreme_statistics_stay_finite(self):
+        stats = pytest.importorskip("scipy.stats")
         for t in (-1e16, -1e8, 1e8, 1e16):
             z = probit_transform(t, 2.0)
             assert math.isfinite(z)
-        assert probit_transform(1e16, 2.0) <= normal_quantile(1.0 - 1e-15)
+        # the true z, past the 7.941 that the fit and lfdr clip at
+        ref = stats.norm.isf(stats.t.sf(1e16, 2))
+        assert probit_transform(1e16, 2.0) == pytest.approx(ref, rel=1e-13)
+        assert ref == pytest.approx(11.914, abs=1e-3)
+
+    def test_true_z_past_the_clip(self):
+        # frozen from scipy's norm.isf(t.sf(40, 30)); past the 7.941 that
+        # the fit and lfdr clip at
+        assert probit_transform(40.0, 30.0) == pytest.approx(10.884091474053866, rel=1e-13)
+        assert probit_transform(-40.0, 30.0) == -probit_transform(40.0, 30.0)
 
     def test_odd_symmetry_is_exact(self):
         t = np.concatenate([np.logspace(-8.0, 8.0, 400), [0.0]])
@@ -70,7 +80,7 @@ class TestProbitTransform:
         t = np.logspace(-1.0, 6.0, 1500)
         for df in (1, 3, 7):
             sf = stats.t.sf(t, df)
-            keep = sf > 1e-15
+            keep = sf > 1e-300
             ref = stats.norm.isf(sf[keep])
             for sign in (1.0, -1.0):
                 z = probit_transform(sign * t[keep], float(df))
@@ -90,6 +100,20 @@ class TestProbitTransform:
 
 
 class TestFitMixture:
+    def test_z_past_the_clip_changes_nothing(self):
+        # the fit and lfdr see z clipped at |z| <= 7.941, so one feature's
+        # z moving from the bound to 12 leaves both bit-identical
+        bound = -normal_quantile(1e-15)
+        zs = np.random.default_rng(9).standard_normal(1000)
+        zs[0] = bound
+        far = zs.copy()
+        far[0] = 12.0
+        at_bound, past = fit_mixture(ZVector(zs, 5.0)), fit_mixture(ZVector(far, 5.0))
+        for name in ("basis_coefficients", "bin_edges", "bin_counts", "z_range", "pi0_hat", "log_norm"):
+            np.testing.assert_array_equal(getattr(past, name), getattr(at_bound, name))
+        np.testing.assert_array_equal(lfdr_at(past, far), lfdr_at(at_bound, zs))
+        assert lfdr_at(past, 12.0) == lfdr_at(past, bound)
+
     def test_standard_normal_recovery(self):
         rng = np.random.default_rng(123)
         zs = rng.standard_normal(10000)

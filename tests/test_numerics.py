@@ -66,6 +66,19 @@ def t_ppf_reference(p: float, df: int) -> float:
         return -float(mp.exp(root))
 
 
+def normal_quantile_mpmath(p: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Normal quantiles refined from ``start`` by Newton steps at 40 digits."""
+    mp = pytest.importorskip("mpmath")
+    out = np.empty_like(p)
+    with mp.workdps(40):
+        for i, (pi, xi) in enumerate(zip(p, start)):
+            target, x = mp.mpf(float(pi)), mp.mpf(float(xi))
+            for _ in range(3):  # quadratic convergence from a double start
+                x -= (mp.ncdf(x) - target) / mp.npdf(x)
+            out[i] = float(x)
+    return out
+
+
 def t_cdf_by_quadrature(t: float, df: float) -> float:
     if t <= 0.0:
         val, _ = integrate.quad(t_density, -np.inf, t, args=(df,), epsabs=1e-13)
@@ -287,6 +300,37 @@ class TestNormal:
         for bad in (0.0, 1.0):
             with pytest.raises(DomainError):
                 normal_quantile(bad)
+
+    def test_quantile_against_mpmath(self):
+        # all three branches, the lower tail down to 1e-300, the body near
+        # 1/2, and the upper tail at 1 - 2^-k, where 1 - p is exact
+        rng = np.random.default_rng(21)
+        p = np.concatenate(
+            [
+                rng.uniform(0.0, 1.0, 3000),
+                10.0 ** rng.uniform(-300.0, 0.0, 2000),
+                0.5 + rng.uniform(-1e-3, 1e-3, 200),
+                1.0 - 2.0 ** -np.arange(2.0, 54.0),
+            ]
+        )
+        p = p[(p > 0.0) & (p < 1.0) & (p != 0.5)]
+        got = normal_quantile(p)
+        ref = normal_quantile_mpmath(p, got)
+        rel = np.abs(got - ref) / np.abs(ref)
+        assert rel.max() <= 1e-15, (p[rel.argmax()], rel.max())
+
+    def test_quantile_antisymmetry_is_exact(self):
+        # 1 - p is exact for p >= 1/2, so the two quantiles can agree exactly
+        rng = np.random.default_rng(22)
+        p = np.concatenate([rng.uniform(0.5, 1.0, 20000), 1.0 - 2.0 ** -np.arange(1.0, 54.0)])
+        np.testing.assert_array_equal(normal_quantile(1.0 - p), -normal_quantile(p))
+
+    def test_quantile_keeps_the_input_shape(self):
+        p = np.random.default_rng(23).uniform(0.0, 1.0, (300, 4))
+        p[0, :] = (1e-300, 1e-12, 0.5, 1.0 - 1e-12)  # every branch
+        got = normal_quantile(p)
+        assert got.shape == (300, 4)
+        np.testing.assert_array_equal(got, normal_quantile(p.reshape(-1)).reshape(300, 4))
 
 
 class TestVectorizationAndPurity:
