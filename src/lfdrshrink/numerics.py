@@ -7,23 +7,27 @@ elementwise. No global state.
 
 The t functions work with the tail probability P(T > |t|): the CDF takes
 both tails from it, and the quantile solves it for q = min(p, 1 - p), so
-tiny lower-tail probabilities keep full relative precision. The tail is
-chosen per lane from df:
+tiny lower-tail probabilities keep full relative precision. The tail takes
+one of two paths per lane:
 
 - integer df up to 64 use exact kernels: atan2(1, |t|) / pi for df = 1,
   1 / (r (r + |t|)) with r = sqrt(2 + t^2) for df = 2, and otherwise the
   finite series of Abramowitz & Stegun 26.7.3-4, or its convergent
   complement where the finite sum would cancel;
-- other df up to 3000 use a Lentz-style continued fraction for the
-  incomplete beta, and larger df a corrected normal limit.
+- every other df uses the Tretter & Walster continued fraction for the
+  incomplete beta as TOMS 708's BFRAC evaluates it (DiDonato & Morris
+  1992), in one of two forms picked by |t| (``_t_tail_beta``). Its lower
+  tail is within 5.2e-13 relative of scipy's stdtr for df from 0.01 to
+  1e15 and tails down to 1e-300.
 
 The t quantile is closed-form for df = 1 and df = 2. Other df start from
 Hill's expansion (1970, CACM Algorithm 396) and are polished by
 safeguarded Newton steps on the tail that iterate only the lanes that
 have not converged. Also used: a Lanczos series for the log-gamma
-function, Cody's rational approximations for erfc (behind ``normal_cdf``
-and the df > 3000 t limit), and Wichura's AS 241 for the normal quantile,
-accurate to about 1 ulp.
+function (Stirling's series where ln B would cancel), and Wichura's
+AS 241 for the normal quantile, accurate to about 1 ulp. ``normal_cdf``
+is 0.5 erfc(-z / sqrt 2) from the C library's erfc (``math.erfc``), one
+lane at a time; no pipeline calls it.
 """
 
 from __future__ import annotations
@@ -62,18 +66,10 @@ _LANCZOS = (
     1.5056327351493116e-7,
 )
 
-# Above this, the incomplete-beta continued fraction stops converging
-# within its iteration cap for a band of t arguments (first failures near
-# df ~ 4000); switch the t CDF to its normal limit with second-order 1/df
-# corrections (absolute error <= 4e-11 at the boundary, shrinking as df
-# grows, and strictly monotone in t for every df).
-_T_NORMAL_LIMIT_DF = 3000.0
-
-# Integer df up to this bound take the exact finite-series tail; above it
-# the series needs more terms than the continued fraction it replaces.
-# On 1e5 lanes of |t| drawn from t_df (and of twice those values) the
-# series ran 4.7x (2.0x) faster at df = 30, 3.4x (1.2x) at df = 64, and
-# broke even between df = 80 and df = 100.
+# Integer df up to this bound take the exact finite-series tail. On 1e5
+# lanes of |t| drawn from t_df (and of twice those values) the series ran
+# 1.8x faster (1.1x slower) than the continued fraction at df = 30, broke
+# even (ran 2x slower) at df = 64, and ran 1.6x slower at df = 100.
 _T_EXACT_MAX_DF = 64.0
 
 # Below this share of its leading term the finite series has cancelled
@@ -84,6 +80,10 @@ _T_SERIES_SWITCH = 0.01
 # iteration cap and relative-step stop of the incomplete-beta continued fraction
 _BETA_CF_MAX_ITER = 300
 _BETA_CF_TOL = 1e-15
+
+
+def _float_arrays(*values) -> list[np.ndarray]:
+    return np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in values))
 
 
 def _maybe_scalar(out: np.ndarray, *inputs) -> float | np.ndarray:
@@ -108,45 +108,67 @@ def ln_gamma(x):
     return _maybe_scalar(_lanczos_ln_gamma(x_arr), x)
 
 
+def _stirling_remainder(z: np.ndarray) -> np.ndarray:
+    # ln Gamma(z) - (z - 1/2) ln z + z - ln sqrt(2 pi), truncated after the
+    # z^-9 term: the first term dropped is below 1.1e-16 for z >= 16
+    zi2 = 1.0 / (z * z)
+    return ((((zi2 / 1188.0 - 1.0 / 1680.0) * zi2 + 1.0 / 1260.0) * zi2 - 1.0 / 360.0) * zi2
+            + 1.0 / 12.0) / z
+
+
 def _ln_beta(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _lanczos_ln_gamma(a) + _lanczos_ln_gamma(b) - _lanczos_ln_gamma(a + b)
+    """ln B(a, b). Where max(a, b) >= 16 the Lanczos log-gammas would
+    cancel, so with a the larger argument and w the Stirling remainder
+    ln G(a) - ln G(a + b) = -b ln a - (a + b - 1/2) log1p(b / a) + b
+    + w(a) - w(a + b), as in TOMS 708's ALGDIV.
+    """
+    small = np.minimum(a, b)
+    big = np.maximum(a, b)
+    lanczos = _lanczos_ln_gamma(big) - _lanczos_ln_gamma(a + b)
+    s = np.maximum(big, 16.0)
+    stirling = (
+        small - small * np.log(s) - (s + small - 0.5) * np.log1p(small / s)
+        + _stirling_remainder(s) - _stirling_remainder(s + small)
+    )
+    return _lanczos_ln_gamma(small) + np.where(big >= 16.0, stirling, lanczos)
 
 
-def _beta_continued_fraction(a, b, x) -> np.ndarray:
-    """Lentz evaluation of the continued fraction for I_x(a, b)."""
-    tiny = 1e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = np.ones_like(x)
-    d = 1.0 - qab * x / qap
-    d = np.where(np.abs(d) < tiny, tiny, d)
-    d = 1.0 / d
-    h = d.copy()
-    # freeze each lane at its own convergence point so results do not
-    # depend on what else shares the batch (vector == scalar bitwise)
-    converged = np.zeros(x.shape, dtype=bool)
-    for m in range(1, _BETA_CF_MAX_ITER + 1):
-        active = ~converged
-        m2 = 2.0 * m
-        coeff = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + coeff * d
-        d = np.where(np.abs(d) < tiny, tiny, d)
-        c = 1.0 + coeff / c
-        c = np.where(np.abs(c) < tiny, tiny, c)
-        d = 1.0 / d
-        h = np.where(active, h * d * c, h)
-        coeff = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + coeff * d
-        d = np.where(np.abs(d) < tiny, tiny, d)
-        c = 1.0 + coeff / c
-        c = np.where(np.abs(c) < tiny, tiny, c)
-        d = 1.0 / d
-        delta = d * c
-        h = np.where(active, h * delta, h)
-        converged |= np.abs(delta - 1.0) < _BETA_CF_TOL
+def _beta_fraction(a, b, x, y) -> np.ndarray:
+    """I_x(a, b) / (x^a y^b / B(a, b)) with y = 1 - x, from the continued
+    fraction of Tretter & Walster as TOMS 708's BFRAC evaluates it.
+
+    Holds for x up to the swap point (a + 1) / (a + b + 2), where
+    lambda = a - (a + b) x = (a + b) y - b > -1. lambda is formed from
+    whichever of x and y avoids cancellation, so with an exact y the
+    fraction keeps full precision for x near 1. Each lane is frozen at its
+    own convergence point, so results do not depend on what else shares
+    the batch (vector == scalar bitwise).
+    """
+    c = 1.0 + np.where(a > b, (a + b) * y - b, a - (a + b) * x)
+    c0, c1 = b / a, 1.0 + 1.0 / a
+    yp1 = 1.0 + y
+    p, s = 1.0, a + 1.0
+    an, bn, anp1, bnp1 = 0.0, 1.0, 1.0, c / c1
+    r = c1 / c
+    converged = np.zeros(r.shape, dtype=bool)
+    for n in range(1, _BETA_CF_MAX_ITER + 1):
+        t = n / a
+        w = n * (b - n) * x
+        e = a / s
+        alpha = (p * (p + c0) * e * e) * (w * x)
+        e = (1.0 + t) / (c1 + t + t)
+        beta = n + w / s + e * (c + n * yp1)
+        p = 1.0 + t
+        s = s + 2.0
+        an, anp1 = anp1, alpha * an + beta * anp1
+        bn, bnp1 = bnp1, alpha * bn + beta * bnp1
+        step = anp1 / bnp1
+        done = np.abs(step - r) <= _BETA_CF_TOL * step
+        r = np.where(converged, r, step)
+        converged |= done
         if np.all(converged):
-            return h
+            return r
+        an, bn, anp1, bnp1 = an / bnp1, bn / bnp1, step, 1.0
     raise NumericError(
         f"incomplete beta continued fraction did not converge in {_BETA_CF_MAX_ITER} iterations"
     )
@@ -159,11 +181,7 @@ def regularized_incomplete_beta(a, b, x):
     x > (a+1)/(a+b+2) so the continued fraction stays in its
     fast-converging region.
     """
-    a_arr, b_arr, x_arr = np.broadcast_arrays(
-        np.asarray(a, dtype=np.float64),
-        np.asarray(b, dtype=np.float64),
-        np.asarray(x, dtype=np.float64),
-    )
+    a_arr, b_arr, x_arr = _float_arrays(a, b, x)
     if not (np.all(a_arr > 0.0) and np.all(b_arr > 0.0)):
         raise DomainError("regularized_incomplete_beta requires a > 0 and b > 0")
     if not np.all((x_arr >= 0.0) & (x_arr <= 1.0)):
@@ -173,44 +191,43 @@ def regularized_incomplete_beta(a, b, x):
     aa = np.where(swap, b_arr, a_arr)
     bb = np.where(swap, a_arr, b_arr)
     xx = np.where(swap, 1.0 - x_arr, x_arr)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ln_front = (
-            aa * np.log(xx) + bb * np.log1p(-xx) - _ln_beta(aa, bb)
-        )
-        front = np.exp(ln_front)
-    front = np.where(xx == 0.0, 0.0, front)
-
-    cf = _beta_continued_fraction(aa, bb, np.where(xx == 0.0, 0.0, xx))
-    val = front * cf / aa
-    out = np.where(swap, 1.0 - val, val)
-    out = np.clip(out, 0.0, 1.0)
+    with np.errstate(divide="ignore"):  # x = 0 or 1
+        front = np.exp(aa * np.log(xx) + bb * np.log1p(-xx) - _ln_beta(aa, bb))
+    val = front * _beta_fraction(aa, bb, xx, np.where(swap, x_arr, 1.0 - x_arr))
+    out = np.clip(np.where(swap, 1.0 - val, val), 0.0, 1.0)
     return _maybe_scalar(out, a, b, x)
 
 
-def _t_tail_normal_limit(a: np.ndarray, df: np.ndarray) -> np.ndarray:
-    # Asymptotic normal deformation of the t CDF, evaluated at -a; used
-    # only for huge df.
-    z = (
-        a
-        - (a**3 + a) / (4.0 * df)
-        + (13.0 * a**5 + 8.0 * a**3 + 3.0 * a) / (96.0 * df * df)
-    )
-    return _normal_cdf_array(-z)
-
-
 def _t_tail_beta(a: np.ndarray, df: np.ndarray) -> np.ndarray:
-    # P(T > a) = I_x(df/2, 1/2) / 2 = 1/2 - I_y(1/2, df/2) / 2 with
-    # x = df / (df + a^2) and y = a^2 / (df + a^2); the second form keeps
-    # y exact where x rounds towards 1
-    v = df + a * a
-    near = a * a < df
-    r = regularized_incomplete_beta(
-        np.where(near, 0.5, 0.5 * df),
-        np.where(near, 0.5 * df, 0.5),
-        np.where(near, a * a, df) / v,
-    )
-    return np.where(near, 0.5 - 0.5 * r, 0.5 * r)
+    """P(T > a) for any df > 0 from the incomplete-beta continued fraction.
+
+    With x = df / (df + a^2), y = 1 - x, F = x^(df/2) y^(1/2) / B(df/2, 1/2)
+    and r from ``_beta_fraction``,
+
+        P = F r(df/2, 1/2, x, y) / 2          for a^2 >= 3 df / (df + 2),
+        P = 1/2 - F r(1/2, df/2, y, x) / 2    below it.
+
+    The cut is the swap point of both fractions, and P >= 0.0416 wherever
+    the second form subtracts. F, x and y come from
+    w = min(a, sqrt df) / max(a, sqrt df), never from a rounded x, so no
+    square overflows. A NaN lane stays NaN.
+    """
+    root_df = np.sqrt(df)
+    w = np.minimum(a, root_df) / np.maximum(a, root_df)
+    w2 = w * w
+    inner = a < root_df
+    x = np.where(inner, 1.0, w2) / (1.0 + w2)
+    y = np.where(inner, w2, 1.0) / (1.0 + w2)
+    with np.errstate(divide="ignore"):  # w = 0 at a = 0 and a = inf
+        ln_front = np.where(inner, 1.0, df) * np.log(w) - 0.5 * (df + 1.0) * np.log1p(w2)
+    half_front = 0.5 * np.exp(ln_front - _ln_beta(0.5 * df, 0.5))
+    out = np.full_like(a, np.nan)
+    cut = np.sqrt(3.0 / (1.0 + 2.0 / df))
+    body = np.flatnonzero(a < cut)
+    out[body] = 0.5 - half_front[body] * _beta_fraction(0.5, 0.5 * df[body], y[body], x[body])
+    tail = np.flatnonzero(a >= cut)
+    out[tail] = half_front[tail] * _beta_fraction(0.5 * df[tail], 0.5, x[tail], y[tail])
+    return out
 
 
 def _t_tail_series(a: np.ndarray, df: np.ndarray) -> np.ndarray:
@@ -271,8 +288,9 @@ def _t_tail_integer(a: np.ndarray, df: np.ndarray) -> np.ndarray:
     two = df == 2.0
     if np.any(two):
         a2 = a[two]
-        r = np.sqrt(2.0 + a2 * a2)
-        out[two] = 1.0 / (r * (r + a2))
+        with np.errstate(over="ignore"):  # a^2 = inf above 1.3e154 gives a tail of 0
+            r = np.sqrt(2.0 + a2 * a2)
+            out[two] = 1.0 / (r * (r + a2))
     rest = df >= 3.0
     if np.any(rest):
         out[rest] = _t_tail_series(a[rest], df[rest])
@@ -280,17 +298,13 @@ def _t_tail_integer(a: np.ndarray, df: np.ndarray) -> np.ndarray:
 
 
 def _t_tail(a: np.ndarray, df: np.ndarray) -> np.ndarray:
-    """Upper tail P(T > a) for a >= 0; the method is chosen per lane from df."""
+    """Upper tail P(T > a) for a >= 0: the exact kernels for integer df up
+    to _T_EXACT_MAX_DF, the continued fraction for every other df."""
     exact = (df <= _T_EXACT_MAX_DF) & (df == np.floor(df))
     if np.all(exact):
         return _t_tail_integer(a, df)
-    large = df > _T_NORMAL_LIMIT_DF
     out = np.empty_like(a)
-    for lanes, kernel in (
-        (exact, _t_tail_integer),
-        (large, _t_tail_normal_limit),
-        (~exact & ~large, _t_tail_beta),
-    ):
+    for lanes, kernel in ((exact, _t_tail_integer), (~exact, _t_tail_beta)):
         if np.any(lanes):
             out[lanes] = kernel(a[lanes], df[lanes])
     return out
@@ -302,9 +316,7 @@ def student_t_cdf(t, df):
     Both tails come from P(T > |t|), so F(t) for t < 0 keeps full
     relative precision however small it is.
     """
-    t_arr, df_arr = np.broadcast_arrays(
-        np.asarray(t, dtype=np.float64), np.asarray(df, dtype=np.float64)
-    )
+    t_arr, df_arr = _float_arrays(t, df)
     if not np.all(df_arr > 0.0):
         raise DomainError("student_t_cdf requires df > 0")
 
@@ -375,7 +387,8 @@ def _t_tail_quantile_newton(t0, q, df) -> np.ndarray:
         if not act.size:
             break
         lo[act] = hi[act]
-        hi[act] *= 2.0
+        with np.errstate(over="ignore"):  # a quantile beyond 1e308 is infinite
+            hi[act] *= 2.0
     else:
         raise NumericError("student_t_quantile could not bracket the target")
 
@@ -386,9 +399,10 @@ def _t_tail_quantile_newton(t0, q, df) -> np.ndarray:
         err = student_t_cdf(-ta, da) - qa  # > 0 while ta is short of the root
         la = np.where(err > 0.0, ta, lo[act])
         ha = np.where(err < 0.0, ta, hi[act])
-        done = (np.abs(err) <= 1e-13 * qa) | ((ha - la) <= 1e-15 * np.maximum(1.0, ta))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             t_new = ta + err * np.exp(-_t_log_pdf(ta, da))
+        # a step below half an ulp of t leaves t where it is: converged
+        done = (np.abs(err) <= 1e-13 * qa) | ((ha - la) <= 1e-15 * np.maximum(1.0, ta)) | (t_new == ta)
         bad = ~np.isfinite(t_new) | (t_new <= la) | (t_new >= ha)
         t_new = np.where(bad, 0.5 * (la + ha), t_new)
         keep = ~done
@@ -407,12 +421,10 @@ def student_t_quantile(p, df):
     Solves P(T > t) = q for the tail probability q = min(p, 1 - p) and
     applies the sign of p - 1/2, so tiny p keep full relative precision.
     df = 1 and df = 2 are closed forms; other df start from Hill's
-    expansion (df < 1 from the Cauchy quantile, which is smaller) and are
-    polished by Newton steps on the tail.
+    expansion (df < 1 from the tail's leading term, which overestimates)
+    and are polished by Newton steps on the tail.
     """
-    p_in, df_in = np.broadcast_arrays(
-        np.asarray(p, dtype=np.float64), np.asarray(df, dtype=np.float64)
-    )
+    p_in, df_in = _float_arrays(p, df)
     if not np.all(df_in > 0.0):
         raise DomainError("student_t_quantile requires df > 0")
     if not np.all((p_in > 0.0) & (p_in < 1.0)):
@@ -430,6 +442,14 @@ def student_t_quantile(p, df):
     hill = (dfa > 1.0) & ~two
     if np.any(hill):
         t[hill] = _hill_tail_quantile(q[hill], dfa[hill])
+    heavy = dfa < 1.0
+    if np.any(heavy):
+        # q = df^(df/2 - 1) t^-df / B(df/2, 1/2), beyond 1e308 for tiny q
+        qh, dh = q[heavy], dfa[heavy]
+        with np.errstate(over="ignore"):
+            t[heavy] = np.exp(
+                ((0.5 * dh - 1.0) * np.log(dh) - _ln_beta(0.5 * dh, 0.5) - np.log(qh)) / dh
+            )
     solve = np.flatnonzero((dfa != 1.0) & ~two & (q < 0.5))
     if solve.size:
         t[solve] = _t_tail_quantile_newton(t[solve], q[solve], dfa[solve])
@@ -441,124 +461,11 @@ def student_t_quantile(p, df):
 
 # --- standard normal ----------------------------------------------------
 
-# Cody's rational approximations for erf/erfc (double precision).
-_ERF_A = (
-    3.16112374387056560e0,
-    1.13864154151050156e2,
-    3.77485237685302021e2,
-    3.20937758913846947e3,
-    1.85777706184603153e-1,
-)
-_ERF_B = (
-    2.36012909523441209e1,
-    2.44024637934444173e2,
-    1.28261652607737228e3,
-    2.84423683343917062e3,
-)
-_ERF_C = (
-    5.64188496988670089e-1,
-    8.88314979438837594e0,
-    6.61191906371416295e1,
-    2.98635138197400131e2,
-    8.81952221241769090e2,
-    1.71204761263407058e3,
-    2.05107837782607147e3,
-    1.23033935479799725e3,
-    2.15311535474403846e-8,
-)
-_ERF_D = (
-    1.57449261107098347e1,
-    1.17693950891312499e2,
-    5.37181101862009858e2,
-    1.62138957456669019e3,
-    3.29079923573345963e3,
-    4.36261909014324716e3,
-    3.43936767414372164e3,
-    1.23033935480374942e3,
-)
-_ERF_P = (
-    3.05326634961232344e-1,
-    3.60344899949804439e-1,
-    1.25781726111229246e-1,
-    1.60837851487422766e-2,
-    6.58749161529837803e-4,
-    1.63153871373020978e-2,
-)
-_ERF_Q = (
-    2.56852019228982242e0,
-    1.87295284992346047e0,
-    5.27905102951428412e-1,
-    6.05183413124413191e-2,
-    2.33520497626869185e-3,
-)
-_ONE_OVER_SQRT_PI = 5.6418958354775628695e-1
-
-
-def _erf_small(y: np.ndarray) -> np.ndarray:
-    # |y| <= 0.46875: erf(y)
-    z = y * y
-    num = _ERF_A[4] * z
-    den = z
-    for i in range(3):
-        num = (num + _ERF_A[i]) * z
-        den = (den + _ERF_B[i]) * z
-    return y * (num + _ERF_A[3]) / (den + _ERF_B[3])
-
-
-def _erfc_mid(y: np.ndarray) -> np.ndarray:
-    # 0.46875 < y <= 4: erfc(y)
-    num = _ERF_C[8] * y
-    den = y
-    for i in range(7):
-        num = (num + _ERF_C[i]) * y
-        den = (den + _ERF_D[i]) * y
-    result = (num + _ERF_C[7]) / (den + _ERF_D[7])
-    ysq = np.floor(y * 16.0) / 16.0
-    delta = (y - ysq) * (y + ysq)
-    return np.exp(-ysq * ysq) * np.exp(-delta) * result
-
-
-def _erfc_large(y: np.ndarray) -> np.ndarray:
-    # y > 4: erfc(y)
-    z = 1.0 / (y * y)
-    num = _ERF_P[5] * z
-    den = z
-    for i in range(4):
-        num = (num + _ERF_P[i]) * z
-        den = (den + _ERF_Q[i]) * z
-    result = z * (num + _ERF_P[4]) / (den + _ERF_Q[4])
-    result = (_ONE_OVER_SQRT_PI - result) / y
-    ysq = np.floor(y * 16.0) / 16.0
-    delta = (y - ysq) * (y + ysq)
-    with np.errstate(under="ignore"):
-        return np.exp(-ysq * ysq) * np.exp(-delta) * result
-
-
-def _erfc_array(x: np.ndarray) -> np.ndarray:
-    y = np.abs(x)
-    # evaluate on safe inputs per branch, then assemble
-    small = y <= 0.46875
-    mid = (y > 0.46875) & (y <= 4.0)
-    out = np.empty_like(y)
-    out[small] = 1.0 - _erf_small(x[small])
-    ym = y[mid]
-    out[mid] = _erfc_mid(ym)
-    yl = y[~small & ~mid]
-    out[~small & ~mid] = _erfc_large(yl)
-    neg = x < 0.0
-    out[neg & ~small] = 2.0 - out[neg & ~small]
-    return out
-
-
-def _normal_cdf_array(z: np.ndarray) -> np.ndarray:
-    return 0.5 * _erfc_array(-z / _SQRT_2)
-
-
 def normal_cdf(z):
-    """Standard normal CDF."""
+    """Standard normal CDF, 0.5 erfc(-z / sqrt 2) from the C library's erfc."""
     z_arr = np.asarray(z, dtype=np.float64)
-    out = _normal_cdf_array(np.atleast_1d(z_arr))
-    return _maybe_scalar(out.reshape(z_arr.shape), z)
+    erfc = np.frompyfunc(math.erfc, 1, 1)(-z_arr / _SQRT_2)
+    return _maybe_scalar(0.5 * np.asarray(erfc, dtype=np.float64), z)
 
 
 def normal_pdf(z):

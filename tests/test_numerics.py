@@ -5,6 +5,7 @@ densities, scipy's distribution functions, and mpmath. Frozen constants
 below were computed with the oracle code kept alongside each test.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -45,6 +46,36 @@ def t_tail_mpmath(t: float, df: float):
         t2 = mp.mpf(t) ** 2
         df = mp.mpf(df)
         return mp.betainc(df / 2, mp.mpf(1) / 2, 0, df / (df + t2), regularized=True) / 2
+
+
+def t_pdf_mpmath(t, df):
+    """Student t density at the working precision of the caller."""
+    mp = pytest.importorskip("mpmath")
+    t, df = mp.mpf(t), mp.mpf(df)
+    return mp.exp(
+        mp.loggamma((df + 1) / 2) - mp.loggamma(df / 2) - mp.log(df * mp.pi) / 2
+        - (df + 1) / 2 * mp.log1p(t * t / df)
+    )
+
+
+# (df, t_hi): P(T > t_hi) is about 1e-300. Integer df above 64 and every
+# non-integer df take the continued fraction; 2999 and 3001 straddle the
+# df where a normal-limit kernel used to take over.
+T_ORACLE_GRID = [
+    (0.5, 1e300), (2.5, 1e120), (30.5, 3.4e10), (65.0, 3.1e5), (100.0, 9.6e3), (200.0, 439.0),
+    (1000.0, 54.2), (2999.0, 41.7), (3001.0, 41.7), (1e4, 38.3), (1e6, 37.0),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def t_tail_oracle(df: float, t_hi: float):
+    """t from the body to t_hi and P(T > t) at 50 digits, tails below 1e-300 dropped."""
+    t = np.concatenate(
+        [[1e-8, 1e-3, 0.3, 1.0, 1.5, 1.7, 1.75, 2.0], np.linspace(2.5, 10.0, 16), np.geomspace(10.5, t_hi, 40)]
+    )
+    tails = [t_tail_mpmath(v, df) for v in t]
+    keep = [i for i, tail in enumerate(tails) if tail >= 1e-300]
+    return t[keep], [tails[i] for i in keep]
 
 
 def t_ppf_reference(p: float, df: int) -> float:
@@ -212,6 +243,31 @@ class TestStudentTCdf:
             rel = np.abs(student_t_cdf(t, float(df)) - ref) / ref
             assert rel.max() <= 6e-14, (df, rel.max())
 
+    @pytest.mark.parametrize("df, t_hi", T_ORACLE_GRID)
+    def test_lower_tail_against_mpmath_grid(self, df, t_hi):
+        # before one continued fraction served every non-exact df, the
+        # tail was exactly 0 over a band of t for df from 200 to 2999, and
+        # a normal-limit kernel was off by up to 100% above df = 3000
+        t, tails = t_tail_oracle(df, t_hi)
+        ref = np.array([float(tail) for tail in tails])
+        rel = np.abs(student_t_cdf(-t, df) - ref) / ref
+        assert rel.max() <= 1e-12, (t[rel.argmax()], rel.max())
+
+    @pytest.mark.parametrize("df", [3.0, 2.5, 100.0, 1e4])
+    def test_nan_gives_nan(self, df):
+        # the continued fraction used to raise on a NaN lane
+        assert math.isnan(student_t_cdf(math.nan, df))
+        got = student_t_cdf(np.array([math.nan, -2.0]), df)
+        assert math.isnan(got[0])
+        assert got[1] == student_t_cdf(-2.0, df)
+
+    def test_df_two_far_tail(self):
+        # t^2 overflows above |t| = 1.3e154; the tail there is below the
+        # smallest double, and no overflow warning may escape
+        assert student_t_cdf(-1e200, 2.0) == 0.0
+        assert student_t_cdf(1e200, 2.0) == 1.0
+        assert student_t_cdf(-1e150, 2.0) == pytest.approx(5e-301, rel=1e-15)
+
     @pytest.mark.parametrize("df", [1.0, 2.0, 3.0, 7.0, 30.0, 64.0, 65.0, 2.5, 100.0])
     def test_offset_from_half_near_zero(self, df):
         # F(t) - 1/2 must not cancel for t near 0 (the continued fraction
@@ -264,6 +320,44 @@ class TestStudentTQuantile:
             assert abs(got - ref) <= 1e-12 * abs(ref), (p, got, ref)
 
 
+    @pytest.mark.parametrize("df, t_hi", T_ORACLE_GRID)
+    def test_lower_tail_against_mpmath_grid(self, df, t_hi):
+        # p = the rounded tail at each grid t; the reference is one Newton
+        # step at 50 digits from that t to the rounded p. Nearer p = 1/2 the
+        # relative error of t is no longer bounded by that of p, so the
+        # check stops at p = 0.25. At df = 1000, p = 2.5e-19 the quantile
+        # used to be 6.2% off.
+        mp = pytest.importorskip("mpmath")
+        t, tails = t_tail_oracle(df, t_hi)
+        p = np.array([float(tail) for tail in tails])
+        tail_side = p <= 0.25
+        with mp.workdps(50):
+            ref = np.array([
+                float(v + (tail - pv) / t_pdf_mpmath(v, df))
+                for v, tail, pv, keep in zip(t, tails, p, tail_side) if keep
+            ])
+        got = -student_t_quantile(p[tail_side], df)
+        rel = np.abs(got - ref) / ref
+        assert rel.max() <= 1e-12, (p[tail_side][rel.argmax()], rel.max())
+
+    @pytest.mark.parametrize("df", [2.5, 100.0, 1e4, 1e6, 1e8])
+    def test_roundtrip_down_to_1e300(self, df):
+        # a Newton step below one ulp of t used to count as leaving the
+        # bracket, so the lane bisected towards 0: at df = 1e6 and
+        # p = 1e-227 it stopped at -21.38 instead of -32.20
+        p = 10.0 ** -np.arange(1.0, 301.0)
+        back = student_t_cdf(student_t_quantile(p, df), df)
+        np.testing.assert_allclose(back, p, rtol=1e-12)
+
+    def test_beyond_the_largest_double(self):
+        # at df = 0.5 even the largest double leaves a tail of 3.2e-155, so
+        # p = 1e-300 has no finite quantile; p = 1e-150 has one near 1e300
+        assert float(t_tail_mpmath(np.finfo(np.float64).max, 0.5)) > 1e-300
+        assert student_t_quantile(1e-300, 0.5) == -math.inf
+        q = student_t_quantile(1e-150, 0.5)
+        assert float(t_tail_mpmath(q, 0.5)) == pytest.approx(1e-150, rel=1e-12)
+
+
 class TestNormal:
     def test_cdf_center(self):
         assert normal_cdf(0.0) == 0.5
@@ -275,9 +369,13 @@ class TestNormal:
         # frozen from 0.5 * (1 + erf(z / sqrt 2)) with stdlib erf
         assert normal_cdf(1.959964) == pytest.approx(0.9750000009035575, abs=1e-12)
 
-    def test_cdf_against_stdlib_erfc(self):
+    def test_cdf_against_mpmath_erfc(self):
+        # normal_cdf is the C library's erfc, so the reference is mpmath's
+        # erfc at the same double argument
+        mp = pytest.importorskip("mpmath")
         z = np.linspace(-37.0, 37.0, 3001)
-        ref = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z])
+        with mp.workdps(40):
+            ref = np.array([float(mp.erfc(-v / math.sqrt(2.0)) / 2) for v in z])
         np.testing.assert_allclose(normal_cdf(z), ref, rtol=5e-14, atol=1e-300)
 
     def test_roundtrip(self):

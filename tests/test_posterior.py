@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from helpers import grid_inverse_marginal, random_marginal
 from lfdrshrink.confidence import (
@@ -223,6 +224,16 @@ class TestShrink:
         # the marginal quantiles and levels are not all at the atom
         assert np.any(shrunk.median_marginal != theta0)
         assert np.any(shrunk.conf_at_null < 1.0)
+
+    def test_many_replicates_give_the_true_z(self):
+        # 200 replicates give df = 199, past the exact t kernels; the t tail
+        # used to be 0 for a band of t there, and row 0 got z = 37.519
+        rows = np.random.default_rng(0).standard_normal((2000, 200))
+        rows[0] += 0.75
+        shrunk = shrink(rows, 0.0, 0.95)
+        t = shrunk.t[0]
+        assert shrunk.z[0] == pytest.approx(stats.norm.isf(stats.t.sf(t, 199)), rel=1e-12)
+        assert shrunk.z[0] == pytest.approx(9.87251181248, rel=1e-11)  # frozen
 
     def test_errors_name_the_row_without_ids(self):
         rows = np.random.default_rng(32).standard_normal((200, 3))
