@@ -34,11 +34,8 @@ from .lfdr import (
     probit_transform,
 )
 from .numerics import (
-    ln_gamma,
-    normal_cdf,
     normal_pdf,
     normal_quantile,
-    regularized_incomplete_beta,
     student_t_cdf,
     student_t_quantile,
 )

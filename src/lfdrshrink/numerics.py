@@ -1,7 +1,8 @@
 """Special functions used throughout the package.
 
-Student-t and standard-normal CDFs/quantiles and the regularized
-incomplete beta function they rest on. Everything here is a pure
+The Student-t CDF and quantile, and the standard-normal quantile and
+density. The t functions accept df > 0, df = inf included, which gives
+the normal; the quantiles accept 0 < p < 1. Everything here is a pure
 function: floats in, floats out, numpy arrays accepted and returned
 elementwise. No global state.
 
@@ -25,9 +26,7 @@ Hill's expansion (1970, CACM Algorithm 396) and are polished by
 safeguarded Newton steps on the tail that iterate only the lanes that
 have not converged. Also used: a Lanczos series for the log-gamma
 function (Stirling's series where ln B would cancel), and Wichura's
-AS 241 for the normal quantile, accurate to about 1 ulp. ``normal_cdf``
-is 0.5 erfc(-z / sqrt 2) from the C library's erfc (``math.erfc``), one
-lane at a time; no pipeline calls it.
+AS 241 for the normal quantile, accurate to about 1 ulp.
 """
 
 from __future__ import annotations
@@ -39,17 +38,13 @@ import numpy as np
 from .errors import DomainError, NumericError
 
 __all__ = [
-    "ln_gamma",
-    "regularized_incomplete_beta",
     "student_t_cdf",
     "student_t_quantile",
-    "normal_cdf",
     "normal_pdf",
     "normal_quantile",
 ]
 
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Lanczos g=7, n=9 coefficients (double-precision standard set).
@@ -77,6 +72,11 @@ _T_EXACT_MAX_DF = 64.0
 # switch to the complement series.
 _T_SERIES_SWITCH = 0.01
 
+# Larger df, df = inf included, are computed at this df: t_df and N(0, 1)
+# agree there far below one ulp for |t| <= 37, and squares of df or df / 2
+# in the Stirling and Hill terms stay finite.
+_T_MAX_DF = 1e150
+
 # iteration cap and relative-step stop of the incomplete-beta continued fraction
 _BETA_CF_MAX_ITER = 300
 _BETA_CF_TOL = 1e-15
@@ -98,14 +98,6 @@ def _lanczos_ln_gamma(x: np.ndarray) -> np.ndarray:
         series = series + _LANCZOS[k] / (x + (k - 1.0))
     w = x + _LANCZOS_G - 0.5
     return _LN_SQRT_2PI + (x - 0.5) * np.log(w) - w + np.log(series)
-
-
-def ln_gamma(x):
-    """Natural log of the gamma function for x > 0."""
-    x_arr = np.asarray(x, dtype=np.float64)
-    if not np.all(x_arr > 0.0):
-        raise DomainError("ln_gamma requires x > 0")
-    return _maybe_scalar(_lanczos_ln_gamma(x_arr), x)
 
 
 def _stirling_remainder(z: np.ndarray) -> np.ndarray:
@@ -174,30 +166,6 @@ def _beta_fraction(a, b, x, y) -> np.ndarray:
     )
 
 
-def regularized_incomplete_beta(a, b, x):
-    """Regularized incomplete beta function I_x(a, b).
-
-    Uses the symmetry swap I_x(a,b) = 1 - I_{1-x}(b,a) whenever
-    x > (a+1)/(a+b+2) so the continued fraction stays in its
-    fast-converging region.
-    """
-    a_arr, b_arr, x_arr = _float_arrays(a, b, x)
-    if not (np.all(a_arr > 0.0) and np.all(b_arr > 0.0)):
-        raise DomainError("regularized_incomplete_beta requires a > 0 and b > 0")
-    if not np.all((x_arr >= 0.0) & (x_arr <= 1.0)):
-        raise DomainError("regularized_incomplete_beta requires 0 <= x <= 1")
-
-    swap = x_arr > (a_arr + 1.0) / (a_arr + b_arr + 2.0)
-    aa = np.where(swap, b_arr, a_arr)
-    bb = np.where(swap, a_arr, b_arr)
-    xx = np.where(swap, 1.0 - x_arr, x_arr)
-    with np.errstate(divide="ignore"):  # x = 0 or 1
-        front = np.exp(aa * np.log(xx) + bb * np.log1p(-xx) - _ln_beta(aa, bb))
-    val = front * _beta_fraction(aa, bb, xx, np.where(swap, x_arr, 1.0 - x_arr))
-    out = np.clip(np.where(swap, 1.0 - val, val), 0.0, 1.0)
-    return _maybe_scalar(out, a, b, x)
-
-
 def _t_tail_beta(a: np.ndarray, df: np.ndarray) -> np.ndarray:
     """P(T > a) for any df > 0 from the incomplete-beta continued fraction.
 
@@ -212,6 +180,7 @@ def _t_tail_beta(a: np.ndarray, df: np.ndarray) -> np.ndarray:
     w = min(a, sqrt df) / max(a, sqrt df), never from a rounded x, so no
     square overflows. A NaN lane stays NaN.
     """
+    df = np.minimum(df, _T_MAX_DF)
     root_df = np.sqrt(df)
     w = np.minimum(a, root_df) / np.maximum(a, root_df)
     w2 = w * w
@@ -424,7 +393,7 @@ def student_t_quantile(p, df):
     expansion (df < 1 from the tail's leading term, which overestimates)
     and are polished by Newton steps on the tail.
     """
-    p_in, df_in = _float_arrays(p, df)
+    p_in, df_in = _float_arrays(p, np.minimum(df, _T_MAX_DF))
     if not np.all(df_in > 0.0):
         raise DomainError("student_t_quantile requires df > 0")
     if not np.all((p_in > 0.0) & (p_in < 1.0)):
@@ -460,13 +429,6 @@ def student_t_quantile(p, df):
 
 
 # --- standard normal ----------------------------------------------------
-
-def normal_cdf(z):
-    """Standard normal CDF, 0.5 erfc(-z / sqrt 2) from the C library's erfc."""
-    z_arr = np.asarray(z, dtype=np.float64)
-    erfc = np.frompyfunc(math.erfc, 1, 1)(-z_arr / _SQRT_2)
-    return _maybe_scalar(0.5 * np.asarray(erfc, dtype=np.float64), z)
-
 
 def normal_pdf(z):
     """Standard normal density."""

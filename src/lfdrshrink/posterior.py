@@ -190,12 +190,21 @@ def marginal_quantile_batch(
     1 - (1 - alpha) / (1 - lfdr) above it, clamped to that side of theta0.
 
     ``lfdr``, ``center`` and ``scale`` broadcast together; all-scalar input
-    gives a float.
+    gives a float. An lfdr outside [0, 1], a non-finite center or theta0,
+    or a scale that is not finite and > 0 is a DomainError.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError("marginal quantile requires 0 < alpha < 1")
     arrays = (np.asarray(a, dtype=np.float64) for a in (lfdr, center, scale))
     lf, center, scale = np.broadcast_arrays(*arrays)
+    if not np.all((lf >= 0.0) & (lf <= 1.0)):
+        raise DomainError("marginal_quantile_batch requires lfdr in [0, 1]")
+    if not np.all(np.isfinite(center)):
+        raise DomainError("marginal_quantile_batch requires a finite center")
+    if not np.all(np.isfinite(scale) & (scale > 0.0)):
+        raise DomainError("marginal_quantile_batch requires a finite scale > 0")
+    if not math.isfinite(theta0):
+        raise DomainError(f"marginal_quantile_batch requires a finite theta0, got {theta0}")
     _, below, _, above = _confidence_levels(lf, center, scale, df, theta0)
     out = _marginal_quantile(lf, center, scale, df, theta0, alpha, below, above)
     return float(out) if out.ndim == 0 else out

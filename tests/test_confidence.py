@@ -134,6 +134,13 @@ class TestConditionalInterval:
         assert lo == pytest.approx(-q, abs=1e-14)
         assert hi == pytest.approx(q, abs=1e-14)
 
+    def test_infinite_df_gives_the_normal_interval(self):
+        # df = inf used to raise a NumericError from the continued fraction
+        cp = ConditionalPosterior(center=0.0, scale=1.0, df=math.inf)
+        lo, hi = conditional_interval(cp, 0.025, 0.025)
+        assert lo == pytest.approx(-1.95996398454005, abs=1e-13)
+        assert hi == pytest.approx(1.95996398454005, abs=1e-13)
+
     def test_domain_errors(self):
         cp = ConditionalPosterior(center=0.0, scale=1.0, df=5.0)
         with pytest.raises(DomainError):

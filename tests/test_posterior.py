@@ -1,5 +1,6 @@
 """Tests for the atom-plus-continuous marginal posterior."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -184,6 +185,28 @@ class TestBatchQuantile:
         assert out[0] < 0.0 < out[1] and out[2] == 0.0
         # one call: lane 0 solves its lower branch and lane 1 its upper one
         assert solved == [2]
+
+    @pytest.mark.parametrize(
+        "lfdr, center, scale, theta0, message",
+        [
+            (np.nan, 2.0, 1.0, 0.0, "lfdr in [0, 1]"),
+            (1.5, 2.0, 1.0, 0.0, "lfdr in [0, 1]"),
+            (-0.5, 2.0, 1.0, 0.0, "lfdr in [0, 1]"),
+            ([0.5, np.nan], 2.0, 1.0, 0.0, "lfdr in [0, 1]"),
+            (0.5, np.inf, 1.0, 0.0, "a finite center"),
+            (0.5, [2.0, np.nan], 1.0, 0.0, "a finite center"),
+            (0.5, 2.0, 0.0, 0.0, "a finite scale > 0"),
+            (0.5, 2.0, -1.0, 0.0, "a finite scale > 0"),
+            (0.5, 2.0, [1.0, np.inf], 0.0, "a finite scale > 0"),
+            (0.5, 2.0, 1.0, np.nan, "a finite theta0, got nan"),
+            (0.5, 2.0, 1.0, -np.inf, "a finite theta0, got -inf"),
+        ],
+    )
+    def test_rejects_what_marginal_posterior_rejects(self, lfdr, center, scale, theta0, message):
+        # these used to return theta0, a quantile, NaN or a RuntimeWarning
+        expected = "^" + re.escape("marginal_quantile_batch requires " + message)
+        with pytest.raises(DomainError, match=expected):
+            marginal_quantile_batch(lfdr, center, scale, 3.0, theta0, 0.5)
 
 
 class TestShrink:
