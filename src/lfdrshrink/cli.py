@@ -391,7 +391,6 @@ def _fmt(value) -> str:
 
 def format_simulation_report(report: CoverageReport, cfg: SimConfig) -> str:
     """Fixed-order key/value serialization of a coverage study."""
-    err_m, err_c = report.median_error_samples
     items = [
         ("m", cfg.m),
         ("n", cfg.n),
@@ -408,14 +407,15 @@ def format_simulation_report(report: CoverageReport, cfg: SimConfig) -> str:
         ("conditional_coverage", report.conditional_coverage),
         ("mean_width_marginal", report.mean_width_marginal),
         ("mean_width_conditional", report.mean_width_conditional),
-        ("mean_abs_error_marginal", float(np.mean(np.abs(err_m)))),
-        ("mean_abs_error_conditional", float(np.mean(np.abs(err_c)))),
+        ("mean_abs_error_marginal", report.mean_abs_error_marginal),
+        ("mean_abs_error_conditional", report.mean_abs_error_conditional),
     ]
     return "".join(f"{key}\t{_fmt(value)}\n" for key, value in items)
 
 
 def write_simulation_plots(report: CoverageReport, plots_dir: str):
-    """Emit the width scatter and median-error histogram data."""
+    """Emit the median-error histogram data of a report that carries its
+    median errors (``run_study(cfg, keep_errors=True)``)."""
     os.makedirs(plots_dir, exist_ok=True)
     err_m, err_c = report.median_error_samples
     pooled = np.concatenate([err_m, err_c])
@@ -540,7 +540,7 @@ def _cmd_simulate(args) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = run_study(cfg)
+    report = run_study(cfg, keep_errors=bool(args.plots_dir))
     _write_text(args.output, [format_simulation_report(report, cfg)])
     if args.plots_dir:
         write_simulation_plots(report, args.plots_dir)

@@ -73,6 +73,30 @@ class ConditionalPosterior:
             raise DomainError("ConditionalPosterior requires df > 0")
 
 
+# numpy sums fewer than this many values in order, so below it the column
+# sums of ``_row_mean_sd`` equal its row reductions bit for bit; from here
+# on numpy's pairwise summation changes the order
+_PAIRWISE_MIN_N = 8
+
+
+def _row_mean_sd(data: np.ndarray):
+    """``mean(axis=1)`` and ``std(axis=1, ddof=1)`` of an m-by-n matrix
+    with n < _PAIRWISE_MIN_N, as numpy computes them, from sums of whole
+    columns, which numpy does much faster than reductions of short rows."""
+    n = data.shape[1]
+    total = data[:, 0] + data[:, 1]
+    for k in range(2, n):
+        total += data[:, k]
+    means = total / n
+    squares = None
+    for k in range(n):
+        dev = data[:, k] - means
+        dev *= dev
+        squares = dev if squares is None else np.add(squares, dev, out=squares)
+    squares /= n - 1
+    return means, np.sqrt(squares, out=squares)
+
+
 def _t_summaries(data, theta0: float, feature_ids=None):
     """Means, sds, ses, t statistics against theta0 and df = n - 1 of an
     m-by-n matrix of replicate differences, one row per feature.
@@ -90,11 +114,13 @@ def _t_summaries(data, theta0: float, feature_ids=None):
     names = range(m) if feature_ids is None else feature_ids
     if n < 2:
         raise DataError(f"feature {names[0]!r}: need at least 2 replicate differences")
-    nonfinite = np.flatnonzero(~np.isfinite(data).all(axis=1))
-    if nonfinite.size:
+    if not np.isfinite(data).all():
+        nonfinite = np.flatnonzero(~np.isfinite(data).all(axis=1))
         raise DataError(f"feature {names[nonfinite[0]]!r}: non-finite replicate difference")
-    means = data.mean(axis=1)
-    sds = data.std(axis=1, ddof=1)
+    if n < _PAIRWISE_MIN_N:
+        means, sds = _row_mean_sd(data)
+    else:
+        means, sds = data.mean(axis=1), data.std(axis=1, ddof=1)
     degenerate = np.flatnonzero(sds == 0.0)
     if degenerate.size:
         raise DataError(f"feature {names[degenerate[0]]!r}: replicate differences are all equal")

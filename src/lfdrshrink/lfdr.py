@@ -102,10 +102,14 @@ def probit_transform(t_stat, df):
     and ``lfdr_at`` clip z at |z| <= 7.941 themselves.
     """
     t_arr = np.asarray(t_stat, dtype=np.float64)
-    lower = np.maximum(student_t_cdf(-np.abs(t_arr), df), np.finfo(np.float64).tiny)
-    z = normal_quantile(lower)
-    out = np.where(t_arr > 0.0, -z, z)
+    out = _probit(t_arr, student_t_cdf(-np.abs(t_arr), df))
     return float(out) if out.ndim == 0 else out
+
+
+def _probit(t: np.ndarray, lower) -> np.ndarray:
+    """``probit_transform`` of t given its lower tail F(-|t|)."""
+    z = normal_quantile(np.maximum(lower, np.finfo(np.float64).tiny))
+    return np.where(t > 0.0, -z, z)
 
 
 def _poisson_irls(design: np.ndarray, counts: np.ndarray) -> np.ndarray:

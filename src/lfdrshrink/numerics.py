@@ -373,7 +373,8 @@ def _t_tail_quantile_newton(t0, q, df) -> np.ndarray:
         # a step below half an ulp of t leaves t where it is: converged
         done = (np.abs(err) <= 1e-13 * qa) | ((ha - la) <= 1e-15 * np.maximum(1.0, ta)) | (t_new == ta)
         bad = ~np.isfinite(t_new) | (t_new <= la) | (t_new >= ha)
-        t_new = np.where(bad, 0.5 * (la + ha), t_new)
+        # halves first: la + ha overflows where both are near the largest double
+        t_new = np.where(bad, 0.5 * la + 0.5 * ha, t_new)
         keep = ~done
         act = act[keep]
         if not act.size:

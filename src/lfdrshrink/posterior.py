@@ -24,7 +24,7 @@ import numpy as np
 
 from .confidence import ConditionalPosterior, _t_summaries, conditional_cdf
 from .errors import DomainError
-from .lfdr import DEFAULT_BINS, DEFAULT_DEGREE, MixtureFit, ZVector, fit_mixture, lfdr_at, probit_transform
+from .lfdr import DEFAULT_BINS, DEFAULT_DEGREE, MixtureFit, ZVector, _probit, fit_mixture, lfdr_at
 from .numerics import student_t_cdf, student_t_quantile
 
 __all__ = [
@@ -131,16 +131,58 @@ def shrink(
         raise DomainError(f"shrink requires 0 < level < 1, got {level}")
     if not np.isfinite(theta0):
         raise DomainError(f"shrink requires a finite theta0, got {theta0}")
+    fitted = _fit_rows(data, theta0, bins=bins, degree=degree, feature_ids=feature_ids)
+    return _solve_rows(fitted, level)
+
+
+@dataclass(frozen=True)
+class _FittedRows:
+    """The global stage of ``shrink``: per-row t summaries, the lower t
+    tail F(-|t|) that z and the conditional CDF at theta0 share, z, and
+    the mixture fit over every row."""
+
+    means: np.ndarray
+    ses: np.ndarray
+    ts: np.ndarray
+    lower: np.ndarray
+    zs: np.ndarray
+    df: float
+    fit: MixtureFit
+    theta0: float
+
+
+def _fit_rows(
+    data, theta0: float, *, bins: int = DEFAULT_BINS, degree: int = DEFAULT_DEGREE, feature_ids=None
+) -> _FittedRows:
+    """The stage of ``shrink`` that needs every row: t summaries, z and the fit."""
     means, _, ses, ts, df = _t_summaries(data, theta0, feature_ids)
-    zs = probit_transform(ts, df)
+    lower = student_t_cdf(-np.abs(ts), df)
+    zs = _probit(ts, lower)
     fit = fit_mixture(ZVector(zs, df), bins=bins, degree=degree)
-    lf = lfdr_at(fit, zs)
+    return _FittedRows(means, ses, ts, lower, zs, df, fit, theta0)
+
+
+def _solve_rows(fitted: _FittedRows, level: float, rows=slice(None)) -> Shrinkage:
+    """The per-row stage of ``shrink``: lfdr, the conditional interval,
+    the confidence levels and the three marginal quantiles of the rows
+    that ``rows`` indexes (every row by default).
+
+    Every step is lane-independent, so the columns equal the matching rows
+    of a ``shrink`` over all rows bit for bit.
+    """
+    columns = (fitted.means, fitted.ses, fitted.ts, fitted.lower, fitted.zs)
+    means, ses, ts, lower, zs = (column[rows] for column in columns)
+    df, theta0 = fitted.df, fitted.theta0
+    lf = lfdr_at(fitted.fit, zs)
 
     alpha = (1.0 - level) / 2.0
     # conditional_interval's quantiles; the t quantile is lane-independent,
     # so one two-lane call equals its two scalar calls bit for bit
     t_lo, t_hi = student_t_quantile(np.array([alpha, 1.0 - alpha]), df)
-    f_at_null, below, at_null, above = _confidence_levels(lf, means, ses, df, theta0)
+    # F((theta0 - mean) / se) = F(-t), and F(-t) is the lower tail for
+    # t >= 0 and its complement for t < 0
+    f_at_null = np.where(ts < 0.0, 1.0 - lower, lower)
+    below, at_null, above = _confidence_levels(lf, f_at_null)
     lo, hi, median = (
         _marginal_quantile(lf, means, ses, df, theta0, a, below, above)
         for a in (alpha, 1.0 - alpha, 0.5)
@@ -160,7 +202,7 @@ def shrink(
         conf_at_null=at_null,
         conf_above=above,
         conditional_below=f_at_null,
-        fit=fit,
+        fit=fitted.fit,
         theta0=theta0,
         level=level,
     )
@@ -205,7 +247,7 @@ def marginal_quantile_batch(
         raise DomainError("marginal_quantile_batch requires a finite scale > 0")
     if not math.isfinite(theta0):
         raise DomainError(f"marginal_quantile_batch requires a finite theta0, got {theta0}")
-    _, below, _, above = _confidence_levels(lf, center, scale, df, theta0)
+    below, _, above = _confidence_levels(lf, _conditional_at_null(center, scale, df, theta0))
     out = _marginal_quantile(lf, center, scale, df, theta0, alpha, below, above)
     return float(out) if out.ndim == 0 else out
 
@@ -264,16 +306,21 @@ def posterior_mean(mp: MarginalPosterior) -> float:
     return mp.lfdr * mp.theta0 + (1.0 - mp.lfdr) * mp.conditional.center
 
 
-def _confidence_levels(lfdr, center, scale, df: float, theta0: float):
-    """The conditional CDF at theta0, and the marginal posterior
-    probabilities below, at and above theta0."""
-    f_at_null = student_t_cdf((theta0 - center) / scale, df)
+def _conditional_at_null(center, scale, df: float, theta0: float):
+    """F0, the conditional CDF at theta0."""
+    return student_t_cdf((theta0 - center) / scale, df)
+
+
+def _confidence_levels(lfdr, f_at_null):
+    """The marginal posterior probabilities below, at and above theta0,
+    given F0, the conditional CDF at theta0."""
     keep = 1.0 - lfdr
-    return f_at_null, keep * f_at_null, lfdr, keep * (1.0 - f_at_null)
+    return keep * f_at_null, lfdr, keep * (1.0 - f_at_null)
 
 
 def observed_confidence_levels(mp: MarginalPosterior) -> ObservedConfidenceLevels:
     """Posterior probabilities that the mean is below/at/above theta0."""
     cp = mp.conditional
-    _, below, at_null, above = _confidence_levels(mp.lfdr, cp.center, cp.scale, cp.df, mp.theta0)
+    f_at_null = _conditional_at_null(cp.center, cp.scale, cp.df, mp.theta0)
+    below, at_null, above = _confidence_levels(mp.lfdr, f_at_null)
     return ObservedConfidenceLevels(below=below, at_null=at_null, above=above)

@@ -3,11 +3,15 @@
 Each experiment draws m features: the true mean is 0 with probability
 pi0, otherwise +-effect with equal probability; every feature then gets n
 normal observations with a null- or alternative-specific sigma. The
-``shrink`` pipeline of ``analyze`` (t summaries, probit transform, mixture
-fit, local fdr, marginal posterior) runs per experiment with the null
-value 0; an experiment's records are its ``shrink`` columns plus two
-coverage flags, and coverage, interval width, and median-error statistics
-of the tracked features are pooled across experiments.
+``shrink`` pipeline of ``analyze`` runs per experiment with the null
+value 0: t summaries, probit transform and mixture fit over every
+feature, then local fdr and marginal posterior for the tracked features
+only (row 0 under ``first_feature``). Each experiment is reduced where it
+runs to its tracked count, two coverage counts, and sums of the two
+interval widths and the two absolute median errors; the counts are added
+as integers and the sums with ``math.fsum``, so memory does not grow with
+the number of experiments. The median errors themselves are kept only
+when asked for, for the CLI's histogram.
 
 Randomness is counter-based (Philox) with one substream per experiment
 derived from (seed, experiment index), so experiments are reproducible
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import math
 import os
 import sys
 import threading
@@ -44,7 +49,7 @@ import numpy as np
 
 from .errors import DataError, DomainError, FitError, WorkerError
 from .numerics import normal_quantile
-from .posterior import Shrinkage, shrink
+from .posterior import Shrinkage, _fit_rows, _solve_rows
 
 __all__ = [
     "SimConfig",
@@ -61,6 +66,8 @@ TRACK_FIRST = "first_feature"
 TRACK_ALL = "all_features"
 
 _NULL_VALUE = 0.0
+# the rows that ``--track first_feature`` solves
+_FIRST_ROW = np.array([0])
 
 
 @dataclass(frozen=True)
@@ -109,8 +116,8 @@ class ExperimentTruth:
 
 @dataclass(frozen=True)
 class ExperimentRecords(Shrinkage):
-    """The ``shrink`` columns of one experiment, with per-feature flags for
-    whether each interval covers the true mean."""
+    """The ``shrink`` columns of one experiment's analyzed features, with
+    per-feature flags for whether each interval covers the true mean."""
 
     covered_conditional: np.ndarray
     covered_marginal: np.ndarray
@@ -118,14 +125,21 @@ class ExperimentRecords(Shrinkage):
 
 @dataclass(frozen=True)
 class CoverageReport:
-    """Pooled results over the tracked features of every experiment."""
+    """Pooled results over the tracked features of every experiment.
+
+    ``median_error_samples`` holds the median errors of the tracked
+    features, marginal then conditional, in experiment order, when
+    ``run_study`` was asked to keep them, and is None otherwise.
+    """
 
     marginal_coverage: float
     conditional_coverage: float
     mean_width_marginal: float
     mean_width_conditional: float
-    median_error_samples: tuple[np.ndarray, np.ndarray]  # (marginal, conditional)
+    mean_abs_error_marginal: float
+    mean_abs_error_conditional: float
     n_tracked: int
+    median_error_samples: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def experiment_stream(seed: int, index: int) -> np.random.Generator:
@@ -158,11 +172,16 @@ def generate_experiment(
 
 
 def analyze_experiment(
-    truth: ExperimentTruth, data: np.ndarray, cfg: SimConfig
+    truth: ExperimentTruth, data: np.ndarray, cfg: SimConfig, rows=slice(None)
 ) -> ExperimentRecords:
-    """Run the shrinkage pipeline on one experiment and flag coverage."""
-    s = shrink(data, _NULL_VALUE, cfg.level)
-    thetas = truth.thetas
+    """Run the shrinkage pipeline on one experiment and flag coverage.
+
+    The fit uses every feature; the records hold the features that
+    ``rows`` indexes (all by default), bit for bit as a ``shrink`` of the
+    whole experiment gives them.
+    """
+    s = _solve_rows(_fit_rows(data, _NULL_VALUE), cfg.level, rows)
+    thetas = truth.thetas[rows]
     return ExperimentRecords(
         **vars(s),
         covered_conditional=(s.ci_lo_conditional <= thetas) & (thetas <= s.ci_hi_conditional),
@@ -170,23 +189,30 @@ def analyze_experiment(
     )
 
 
-def _run_one(cfg: SimConfig, index: int):
+def _run_one(cfg: SimConfig, index: int, keep_errors: bool = False):
+    """One experiment reduced to (tracked count, marginal and conditional
+    coverage counts, and sums of the two widths and the two absolute
+    median errors), plus its median errors when ``keep_errors`` is set."""
     stream = experiment_stream(cfg.seed, index)
     truth, data = generate_experiment(cfg, stream)
+    rows = slice(None) if cfg.track == TRACK_ALL else _FIRST_ROW
     try:
-        records = analyze_experiment(truth, data, cfg)
+        records = analyze_experiment(truth, data, cfg, rows)
     except (DataError, FitError) as exc:
         raise type(exc)(f"experiment {index}: {exc}") from exc
-    sel = slice(None) if cfg.track == TRACK_ALL else slice(0, 1)
-    thetas = truth.thetas[sel]
-    return (
-        records.covered_marginal[sel],
-        records.covered_conditional[sel],
-        records.ci_hi_marginal[sel] - records.ci_lo_marginal[sel],
-        records.ci_hi_conditional[sel] - records.ci_lo_conditional[sel],
-        records.median_marginal[sel] - thetas,
-        records.median_conditional[sel] - thetas,
+    thetas = truth.thetas[rows]
+    err_m = records.median_marginal - thetas
+    err_c = records.median_conditional - thetas
+    sums = (
+        int(thetas.size),
+        int(np.count_nonzero(records.covered_marginal)),
+        int(np.count_nonzero(records.covered_conditional)),
+        float(np.sum(records.ci_hi_marginal - records.ci_lo_marginal)),
+        float(np.sum(records.ci_hi_conditional - records.ci_lo_conditional)),
+        float(np.sum(np.abs(err_m))),
+        float(np.sum(np.abs(err_c))),
     )
+    return sums, ((err_m, err_c) if keep_errors else None)
 
 
 def _pool_size(tasks: int) -> int:
@@ -257,37 +283,41 @@ def _fork_map(fn, items, tasks: int, chunksize: int = 1):
         _FORKED_FN = None
 
 
-def _stack(parts, count: int) -> list[np.ndarray]:
-    """Concatenate each column of ``count`` equal-length parts as they
-    arrive, so the parts and their concatenation are never held together."""
-    columns = None
-    for i, part in enumerate(parts):
-        if columns is None:
-            columns = [np.empty(count * col.size, dtype=col.dtype) for col in part]
-        for column, col in zip(columns, part):
-            column[i * col.size : (i + 1) * col.size] = col
-    return columns
-
-
-def run_study(cfg: SimConfig) -> CoverageReport:
+def run_study(cfg: SimConfig, keep_errors: bool = False) -> CoverageReport:
     """Run every experiment and pool the tracked features.
 
-    Deterministic given cfg: substreams fix each experiment regardless of
-    execution order, and aggregation follows experiment index.
+    Each experiment comes back as counts and sums: the counts are added as
+    integers, the sums with ``math.fsum``, in experiment order, so memory
+    does not grow with the number of experiments. ``keep_errors`` also
+    keeps every tracked median error, for the histogram of the CLI's
+    ``--plots-dir``. Deterministic given cfg: substreams fix each
+    experiment regardless of execution order.
     """
     # one message per experiment costs ~10% more CPU; a larger chunk
     # holds more results in memory at once
     results = _fork_map(
-        partial(_run_one, cfg), range(cfg.n_experiments), cfg.n_experiments, chunksize=4
+        partial(_run_one, cfg, keep_errors=keep_errors),
+        range(cfg.n_experiments),
+        cfg.n_experiments,
+        chunksize=4,
     )
-    columns = _stack(results, cfg.n_experiments)
-
-    cov_m, cov_c, wid_m, wid_c, err_m, err_c = columns
+    per = cfg.m if cfg.track == TRACK_ALL else 1
+    samples = np.empty((2, cfg.n_experiments * per)) if keep_errors else None
+    parts = []
+    for i, (sums, errors) in enumerate(results):
+        parts.append(sums)
+        if samples is not None:
+            samples[:, i * per : (i + 1) * per] = errors
+    columns = list(zip(*parts))
+    tracked, covered_m, covered_c = map(sum, columns[:3])
+    width_m, width_c, abs_err_m, abs_err_c = (math.fsum(c) / tracked for c in columns[3:])
     return CoverageReport(
-        marginal_coverage=float(np.mean(cov_m)),
-        conditional_coverage=float(np.mean(cov_c)),
-        mean_width_marginal=float(np.mean(wid_m)),
-        mean_width_conditional=float(np.mean(wid_c)),
-        median_error_samples=(err_m, err_c),
-        n_tracked=int(cov_m.size),
+        marginal_coverage=covered_m / tracked,
+        conditional_coverage=covered_c / tracked,
+        mean_width_marginal=width_m,
+        mean_width_conditional=width_c,
+        mean_abs_error_marginal=abs_err_m,
+        mean_abs_error_conditional=abs_err_c,
+        n_tracked=tracked,
+        median_error_samples=None if samples is None else (samples[0], samples[1]),
     )

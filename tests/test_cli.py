@@ -25,6 +25,10 @@ from lfdrshrink.errors import DataError, WorkerError
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_REPORT = os.path.join(GOLDEN_DIR, "golden_simulate_report.tsv")
+GOLDEN_SIMULATE_ARGS = [
+    "simulate", "--m", "150", "--n", "2", "--pi0", "0.9",
+    "--experiments", "8", "--seed", "7", "--track", "all_features",
+]
 
 
 def write(tmp_path, name, text):
@@ -462,17 +466,52 @@ class TestCliMain:
 
     def test_simulate_matches_golden_report(self, tmp_path):
         out = tmp_path / "golden_check.tsv"
-        rc = cli_main(
-            [
-                "simulate", "--m", "150", "--n", "2", "--pi0", "0.9",
-                "--experiments", "8", "--seed", "7", "--track", "all_features",
-                "--output", str(out),
-            ]
-        )
+        rc = cli_main(GOLDEN_SIMULATE_ARGS + ["--output", str(out)])
         assert rc == 0
         with open(GOLDEN_REPORT, "rb") as handle:
             golden = handle.read()
         assert out.read_bytes() == golden
+
+
+def _host_has_x86_v4() -> bool:
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    return bool(__cpu_features__.get("X86_V4"))
+
+
+# the child checks that the setting took: numpy off its AVX-512 kernels
+_OTHER_CPU_CHILD = """
+import os, sys
+from numpy._core._multiarray_umath import __cpu_features__
+if "NPY_DISABLE_CPU_FEATURES" in os.environ:
+    assert not __cpu_features__["X86_V4"], "numpy still dispatches to AVX-512"
+from lfdrshrink.cli import cli_main
+sys.exit(cli_main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not _host_has_x86_v4(), reason="the host runs no AVX-512 numpy kernels")
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"},
+        {"OPENBLAS_CORETYPE": "Haswell"},
+    ],
+    ids=["numpy-without-avx512", "openblas-haswell"],
+)
+def test_simulate_golden_report_on_another_cpu_path(tmp_path, setting):
+    # the golden simulate report does not depend on numpy's AVX-512
+    # kernels nor on OpenBLAS's core type, so the row reductions and sums
+    # of the pipeline are pinned on the code path of CPUs without them
+    out = tmp_path / "report.tsv"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)), **setting)
+    done = subprocess.run(
+        [sys.executable, "-c", _OTHER_CPU_CHILD, *GOLDEN_SIMULATE_ARGS, "--output", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    with open(GOLDEN_REPORT, "rb") as handle:
+        assert out.read_bytes() == handle.read()
 
 
 GOLDEN_PLOTS = ("medians_vs_lfdr.tsv", "width_scatter.tsv", "confidence_levels.tsv")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from lfdrshrink import confidence
 from lfdrshrink.confidence import (
     ConditionalPosterior,
     PairedSample,
@@ -51,6 +52,43 @@ class TestSummarize:
     def test_nonfinite(self):
         with pytest.raises(DataError, match=r"^feature 'g7': non-finite replicate difference$"):
             summarize(PairedSample([1.0, float("nan"), 2.0], feature_id="g7"))
+
+
+class TestTSummaries:
+    @staticmethod
+    def rows(n, seed=41):
+        # magnitudes over 20 decades, exact zeros of both signs and repeats
+        rng = np.random.default_rng(seed + n)
+        data = rng.standard_normal((3000, n)) * 10.0 ** rng.uniform(-10, 10, (3000, n))
+        data[rng.random((3000, n)) < 0.05] = 0.0
+        data[rng.random((3000, n)) < 0.05] = -0.0
+        data[:, 1] = np.where(rng.random(3000) < 0.05, data[:, 0], data[:, 1])
+        return data[np.any(data != data[:, :1], axis=1)]
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_column_sums_equal_numpy_reductions(self, n, order):
+        data = np.asarray(self.rows(n), order=order)
+        means, sds = confidence._row_mean_sd(data)
+        assert means.tobytes() == data.mean(axis=1).tobytes()
+        assert sds.tobytes() == data.std(axis=1, ddof=1).tobytes()
+        got = confidence._t_summaries(data, 0.3)
+        assert got[0].tobytes() == means.tobytes() and got[1].tobytes() == sds.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9])
+    def test_errors_name_the_first_bad_row(self, n):
+        data = self.rows(n)[:40]
+        data[[6, 11]] = 2.5  # degenerate
+        with pytest.raises(DataError, match=r"^feature 6: replicate differences are all equal$"):
+            confidence._t_summaries(data, 0.0)
+        data[25, n - 1] = np.inf
+        data[17, 0] = np.nan
+        # non-finite values are reported before degenerate rows
+        with pytest.raises(DataError, match=r"^feature 17: non-finite replicate difference$"):
+            confidence._t_summaries(data, 0.0)
+        ids = [f"g{i}" for i in range(len(data))]
+        with pytest.raises(DataError, match=r"^feature 'g17': non-finite"):
+            confidence._t_summaries(data, 0.0, ids)
 
 
 class TestConditionalPosterior:

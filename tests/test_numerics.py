@@ -314,6 +314,14 @@ class TestStudentTQuantile:
         q = student_t_quantile(1e-150, 0.5)
         assert float(t_tail_mpmath(q, 0.5)) == pytest.approx(1e-150, rel=1e-12)
 
+    def test_bisection_near_the_largest_double(self):
+        # the bisection midpoint of two brackets near 8e307 used to be
+        # 0.5 * (lo + hi), whose sum overflows: a RuntimeWarning, which the
+        # suite turns into an error
+        q = student_t_quantile(3.6e-155, 0.5)
+        assert -8.4e307 < q < -7.1e307
+        assert float(t_tail_mpmath(q, 0.5)) == pytest.approx(3.6e-155, rel=1e-12)
+
 
 class TestNormal:
     def test_quantile_center(self):

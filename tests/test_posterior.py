@@ -1,5 +1,6 @@
 """Tests for the atom-plus-continuous marginal posterior."""
 
+import dataclasses
 import re
 from dataclasses import replace
 
@@ -301,8 +302,48 @@ class TestShrink:
 
         monkeypatch.setattr(posterior, "student_t_cdf", counting)
         shrink(np.random.default_rng(36).standard_normal((300, 3)), 0.0, 0.95)
-        # the confidence levels and all three marginal quantiles share it
+        # z, the confidence levels and all three marginal quantiles share it
         assert calls == [300]
+
+    @pytest.mark.parametrize("n", [2, 4, 9])
+    def test_row_stage_matches_the_full_shrink(self, n):
+        rng = np.random.default_rng(37 + n)
+        shift = np.where(rng.random(400) < 0.8, 0.0, rng.choice([-2.0, 2.0], 400))
+        data = shift[:, None] + rng.standard_normal((400, n))
+        full = shrink(data, 0.1, 0.95)
+        fitted = posterior._fit_rows(data, 0.1)
+        subsets = [np.array([0]), np.array([399])]
+        subsets += [np.sort(rng.choice(400, size, replace=False)) for size in (1, 2, 7, 150)]
+        subsets += [rng.permutation(400)[:50]]
+        for rows in subsets:
+            part = posterior._solve_rows(fitted, 0.95, rows)
+            for field in dataclasses.fields(posterior.Shrinkage):
+                got, want = getattr(part, field.name), getattr(full, field.name)
+                if isinstance(want, np.ndarray):
+                    assert got.tobytes() == want[rows].tobytes(), (field.name, rows)
+                elif field.name == "fit":
+                    assert got.basis_coefficients.tobytes() == want.basis_coefficients.tobytes()
+                    assert got.pi0_hat == want.pi0_hat and got.log_norm == want.log_norm
+                else:
+                    assert got == want, field.name
+
+    @pytest.mark.parametrize("df", [1.0, 3.0, 2.5])
+    def test_shared_tail_gives_the_conditional_cdf_at_theta0(self, df):
+        # rows 0 and 1 have t = 0 exactly; the rest take both signs
+        theta0 = 0.25
+        rng = np.random.default_rng(38)
+        n = 4 if df == 3.0 else 2
+        data = theta0 + rng.standard_normal((300, n)) * rng.uniform(0.1, 5.0, (300, 1))
+        data[0, :] = [theta0 - 1.0, theta0 + 1.0] * (n // 2)
+        data[1, :] = [theta0 + 0.5, theta0 - 0.5] * (n // 2)
+        fitted = posterior._fit_rows(data, theta0)
+        if df != fitted.df:
+            fitted = replace(fitted, df=df, lower=student_t_cdf(-np.abs(fitted.ts), df))
+        s = posterior._solve_rows(fitted, 0.95)
+        assert np.all(s.t[:2] == 0.0) and np.any(s.t > 0.0) and np.any(s.t < 0.0)
+        want = student_t_cdf((theta0 - fitted.means) / fitted.ses, df)
+        assert s.conditional_below.tobytes() == want.tobytes()
+        assert np.all(s.conditional_below[:2] == 0.5)
 
     @pytest.mark.parametrize("shape", [(200,), (200, 1)])
     def test_rejects_fewer_than_two_replicates(self, shape):

@@ -41,7 +41,8 @@ def assert_same_report(a: CoverageReport, b: CoverageReport):
     for field in dataclasses.fields(CoverageReport):
         x, y = getattr(a, field.name), getattr(b, field.name)
         if field.name == "median_error_samples":
-            for xs, ys in zip(x, y):
+            assert (x is None) == (y is None)
+            for xs, ys in zip(x or (), y or ()):
                 assert xs.dtype == ys.dtype
                 assert xs.tobytes() == ys.tobytes()
         else:
@@ -166,8 +167,8 @@ class TestAnalyzeExperiment:
 class TestRunStudy:
     def test_deterministic_bit_for_bit(self):
         cfg = small_cfg()
-        r1 = run_study(cfg)
-        r2 = run_study(cfg)
+        r1 = run_study(cfg, keep_errors=True)
+        r2 = run_study(cfg, keep_errors=True)
         assert r1.marginal_coverage == r2.marginal_coverage
         assert r1.conditional_coverage == r2.conditional_coverage
         assert r1.mean_width_marginal == r2.mean_width_marginal
@@ -196,7 +197,7 @@ class TestRunStudy:
             monkeypatch.setattr(sim, "_pool_size", lambda n: workers)
             pids.write_text("")
             with time_limit(60):
-                report = run_study(cfg)
+                report = run_study(cfg, keep_errors=True)
             return report, pids.read_text().split()
 
         serial, serial_pids = run(1)
@@ -282,11 +283,50 @@ class TestRunStudy:
     def test_tracking_modes(self):
         cfg_first = small_cfg(track=TRACK_FIRST)
         cfg_all = small_cfg(track=TRACK_ALL)
-        r_first = run_study(cfg_first)
-        r_all = run_study(cfg_all)
+        r_first = run_study(cfg_first, keep_errors=True)
+        r_all = run_study(cfg_all, keep_errors=True)
         assert r_first.n_tracked == cfg_first.n_experiments
         assert r_all.n_tracked == cfg_all.n_experiments * cfg_all.m
         assert len(r_first.median_error_samples[0]) == r_first.n_tracked
+
+    @pytest.mark.parametrize("track", [TRACK_ALL, TRACK_FIRST])
+    def test_pooled_sums_match_the_per_feature_records(self, track):
+        cfg = small_cfg(track=track, n_experiments=6)
+        report = run_study(cfg, keep_errors=True)
+        sel = slice(None) if track == TRACK_ALL else slice(0, 1)
+        columns = {}
+        for i in range(cfg.n_experiments):
+            truth, data = generate_experiment(cfg, experiment_stream(cfg.seed, i))
+            rec = analyze_experiment(truth, data, cfg)
+            thetas = truth.thetas[sel]
+            for name, column in {
+                "cov_m": rec.covered_marginal[sel],
+                "cov_c": rec.covered_conditional[sel],
+                "width_m": rec.ci_hi_marginal[sel] - rec.ci_lo_marginal[sel],
+                "width_c": rec.ci_hi_conditional[sel] - rec.ci_lo_conditional[sel],
+                "err_m": rec.median_marginal[sel] - thetas,
+                "err_c": rec.median_conditional[sel] - thetas,
+            }.items():
+                columns.setdefault(name, []).append(column)
+        c = {name: np.concatenate(parts) for name, parts in columns.items()}
+        tracked = c["cov_m"].size
+        assert report.n_tracked == tracked == cfg.n_experiments * (cfg.m if track == TRACK_ALL else 1)
+        assert report.marginal_coverage == np.count_nonzero(c["cov_m"]) / tracked
+        assert report.conditional_coverage == np.count_nonzero(c["cov_c"]) / tracked
+        for field, want in (
+            ("mean_width_marginal", np.mean(c["width_m"])),
+            ("mean_width_conditional", np.mean(c["width_c"])),
+            ("mean_abs_error_marginal", np.mean(np.abs(c["err_m"]))),
+            ("mean_abs_error_conditional", np.mean(np.abs(c["err_c"]))),
+        ):
+            assert getattr(report, field) == pytest.approx(want, rel=1e-15, abs=0.0), field
+        err_m, err_c = report.median_error_samples
+        assert err_m.tobytes() == c["err_m"].tobytes()
+        assert err_c.tobytes() == c["err_c"].tobytes()
+        # without the samples the report is the same
+        lean = run_study(cfg)
+        assert lean.median_error_samples is None
+        assert_same_report(lean, dataclasses.replace(report, median_error_samples=None))
 
     def test_desk_scale_orderings(self):
         # marginal coverage above conditional, which sits at the nominal
@@ -294,7 +334,7 @@ class TestRunStudy:
         cfg = SimConfig(
             m=1000, n=2, pi0=0.9, n_experiments=12, seed=1, track=TRACK_ALL
         )
-        rep = run_study(cfg)
+        rep = run_study(cfg, keep_errors=True)
         assert rep.marginal_coverage >= rep.conditional_coverage
         se3 = 3.0 * math.sqrt(0.95 * 0.05 / rep.n_tracked)
         # fit-induced correlation across features inflates the pooled SE;
