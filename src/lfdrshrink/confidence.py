@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError
-from .numerics import student_t_cdf, student_t_quantile
+from .numerics import _t_df, student_t_cdf, student_t_quantile
 
 __all__ = [
     "PairedSample",
@@ -69,8 +69,7 @@ class ConditionalPosterior:
             raise DomainError(f"ConditionalPosterior requires a finite center, got {self.center}")
         if not (math.isfinite(self.scale) and self.scale > 0.0):
             raise DomainError(f"ConditionalPosterior requires a finite scale > 0, got {self.scale}")
-        if not self.df > 0.0:
-            raise DomainError("ConditionalPosterior requires df > 0")
+        _t_df(self.df, "ConditionalPosterior")
 
 
 # numpy sums fewer than this many values in order, so below it the column

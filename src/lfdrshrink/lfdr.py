@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError, FitError
-from .numerics import normal_pdf, normal_quantile, student_t_cdf
+from .numerics import _t_df, normal_pdf, normal_quantile, student_t_cdf
 
 __all__ = [
     "ZVector",
@@ -57,6 +57,7 @@ class ZVector:
             raise DataError("ZVector requires a one-dimensional array")
         if not np.all(np.isfinite(arr)):
             raise DataError("ZVector requires finite values")
+        _t_df(df, "ZVector")
         object.__setattr__(self, "zs", arr)
         object.__setattr__(self, "df", float(df))
 
@@ -99,10 +100,11 @@ def probit_transform(t_stat, df):
     both tails keep full precision and z(-t) = -z(t) exactly. The tail
     value is floored at the smallest normal double, so z stays finite
     (|z| <= 37.5) and is otherwise the true normal score. ``fit_mixture``
-    and ``lfdr_at`` clip z at |z| <= 7.941 themselves.
+    and ``lfdr_at`` clip z at |z| <= 7.941 themselves. df is one scalar
+    > 0 that every t statistic shares; an array df is a DomainError.
     """
     t_arr = np.asarray(t_stat, dtype=np.float64)
-    out = _probit(t_arr, student_t_cdf(-np.abs(t_arr), df))
+    out = _probit(t_arr, student_t_cdf(-np.abs(t_arr), _t_df(df, "probit_transform")))
     return float(out) if out.ndim == 0 else out
 
 

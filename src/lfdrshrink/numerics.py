@@ -1,15 +1,19 @@
 """Special functions used throughout the package.
 
 The Student-t CDF and quantile, and the standard-normal quantile and
-density. The t functions accept df > 0, df = inf included, which gives
-the normal; the quantiles accept 0 < p < 1. Everything here is a pure
-function: floats in, floats out, numpy arrays accepted and returned
-elementwise. No global state.
+density. Everything here is a pure function with no global state: a
+scalar in gives a float out, a numpy array in gives an array of the same
+shape, elementwise. The quantiles accept 0 < p < 1.
+
+The t functions take one scalar df > 0 per call, df = inf included, which
+gives the normal: a Python or numpy scalar or a 0-d array. An array df,
+even of one element, is a DomainError. Every feature in one analysis
+shares df = n - 1, so each call picks its kernel once for all its lanes.
 
 The t functions work with the tail probability P(T > |t|): the CDF takes
 both tails from it, and the quantile solves it for q = min(p, 1 - p), so
-tiny lower-tail probabilities keep full relative precision. The tail takes
-one of two paths per lane:
+tiny lower-tail probabilities keep full relative precision. The tail
+kernel depends on df alone:
 
 - integer df up to 64 use exact kernels: atan2(1, |t|) / pi for df = 1,
   1 / (r (r + |t|)) with r = sqrt(2 + t^2) for df = 2, and otherwise the
@@ -82,18 +86,24 @@ _BETA_CF_MAX_ITER = 300
 _BETA_CF_TOL = 1e-15
 
 
-def _float_arrays(*values) -> list[np.ndarray]:
-    return np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in values))
+def _t_df(df, name: str) -> np.float64:
+    """The one df of a t function call, clamped to _T_MAX_DF. An array df,
+    even of one element, or a df that is not > 0 is a DomainError that
+    names ``name``."""
+    if np.ndim(df) != 0:
+        raise DomainError(f"{name} takes one scalar df, got an array of shape {np.shape(df)}")
+    df = np.float64(df)
+    if not df > 0.0:
+        raise DomainError(f"{name} requires df > 0")
+    return np.minimum(df, _T_MAX_DF)
 
 
-def _maybe_scalar(out: np.ndarray, *inputs) -> float | np.ndarray:
-    if all(np.ndim(v) == 0 for v in inputs):
-        return float(out)
-    return out
+def _maybe_scalar(out: np.ndarray, x) -> float | np.ndarray:
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def _lanczos_ln_gamma(x: np.ndarray) -> np.ndarray:
-    series = np.full_like(x, _LANCZOS[0])
+    series = _LANCZOS[0]
     for k in range(1, len(_LANCZOS)):
         series = series + _LANCZOS[k] / (x + (k - 1.0))
     w = x + _LANCZOS_G - 0.5
@@ -125,7 +135,7 @@ def _ln_beta(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _lanczos_ln_gamma(small) + np.where(big >= 16.0, stirling, lanczos)
 
 
-def _beta_fraction(a, b, x, y) -> np.ndarray:
+def _beta_fraction(a: float, b: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """I_x(a, b) / (x^a y^b / B(a, b)) with y = 1 - x, from the continued
     fraction of Tretter & Walster as TOMS 708's BFRAC evaluates it.
 
@@ -136,7 +146,7 @@ def _beta_fraction(a, b, x, y) -> np.ndarray:
     own convergence point, so results do not depend on what else shares
     the batch (vector == scalar bitwise).
     """
-    c = 1.0 + np.where(a > b, (a + b) * y - b, a - (a + b) * x)
+    c = 1.0 + ((a + b) * y - b if a > b else a - (a + b) * x)
     c0, c1 = b / a, 1.0 + 1.0 / a
     yp1 = 1.0 + y
     p, s = 1.0, a + 1.0
@@ -166,7 +176,7 @@ def _beta_fraction(a, b, x, y) -> np.ndarray:
     )
 
 
-def _t_tail_beta(a: np.ndarray, df: np.ndarray) -> np.ndarray:
+def _t_tail_beta(a: np.ndarray, df: float) -> np.ndarray:
     """P(T > a) for any df > 0 from the incomplete-beta continued fraction.
 
     With x = df / (df + a^2), y = 1 - x, F = x^(df/2) y^(1/2) / B(df/2, 1/2)
@@ -180,7 +190,6 @@ def _t_tail_beta(a: np.ndarray, df: np.ndarray) -> np.ndarray:
     w = min(a, sqrt df) / max(a, sqrt df), never from a rounded x, so no
     square overflows. A NaN lane stays NaN.
     """
-    df = np.minimum(df, _T_MAX_DF)
     root_df = np.sqrt(df)
     w = np.minimum(a, root_df) / np.maximum(a, root_df)
     w2 = w * w
@@ -193,13 +202,13 @@ def _t_tail_beta(a: np.ndarray, df: np.ndarray) -> np.ndarray:
     out = np.full_like(a, np.nan)
     cut = np.sqrt(3.0 / (1.0 + 2.0 / df))
     body = np.flatnonzero(a < cut)
-    out[body] = 0.5 - half_front[body] * _beta_fraction(0.5, 0.5 * df[body], y[body], x[body])
+    out[body] = 0.5 - half_front[body] * _beta_fraction(0.5, 0.5 * df, y[body], x[body])
     tail = np.flatnonzero(a >= cut)
-    out[tail] = half_front[tail] * _beta_fraction(0.5 * df[tail], 0.5, x[tail], y[tail])
+    out[tail] = half_front[tail] * _beta_fraction(0.5 * df, 0.5, x[tail], y[tail])
     return out
 
 
-def _t_tail_series(a: np.ndarray, df: np.ndarray) -> np.ndarray:
+def _t_tail_series(a: np.ndarray, df: float) -> np.ndarray:
     """P(T > a) for integer df >= 3 from the A&S 26.7.3-4 finite series.
 
     With u = df / (df + a^2), K = floor(df / 2), o = df mod 2 and
@@ -215,33 +224,36 @@ def _t_tail_series(a: np.ndarray, df: np.ndarray) -> np.ndarray:
     a = np.minimum(a, 1e150)  # keeps a^2 finite; the tail is 0 from here
     v = df + a * a
     u = df / v
-    half = np.floor(0.5 * df)
-    odd = df - 2.0 * half
-    root_df = np.sqrt(df)
-    head = np.where(odd == 1.0, np.arctan2(root_df, a) / math.pi, 0.5)
-    pre = np.where(odd == 1.0, a * root_df / (math.pi * v), 0.5 * a / np.sqrt(v))
+    k = int(df) // 2
+    odd = df - 2.0 * k
+    if odd:
+        root_df = np.sqrt(df)
+        head = np.arctan2(root_df, a) / math.pi
+        pre = a * root_df / (math.pi * v)
+    else:
+        head = 0.5
+        pre = 0.5 * a / np.sqrt(v)
 
     term = np.ones_like(a)
     total = np.ones_like(a)
-    for k in range(1, int(half.max())):
-        live = k < half
-        term = np.where(live, term * u * ((2 * k - 1 + odd) / (2 * k + odd)), term)
-        total = np.where(live, total + term, total)
+    for j in range(1, k):
+        term = term * u * ((2 * j - 1 + odd) / (2 * j + odd))
+        total = total + term
     out = head - pre * total
 
     comp = np.flatnonzero(out < _T_SERIES_SWITCH * head)
     if comp.size:
-        u, k, odd = u[comp], half[comp], odd[comp]
+        u = u[comp]
         term = term[comp] * u * ((2.0 * k - 1.0 + odd) / (2.0 * k + odd))
         total = term.copy()
         # the terms fall faster than u^k, so stopping at term <= eps/2 *
         # (1 - u) * total truncates less than eps/2 of the sum
-        tol = 0.5 * np.finfo(np.float64).eps * (v[comp] - df[comp]) / v[comp]
+        tol = 0.5 * np.finfo(np.float64).eps * (v[comp] - df) / v[comp]
+        # every lane still summing is at the same k
         act = np.flatnonzero(term > tol * total)
         while act.size:
-            k[act] += 1.0
-            ka = k[act]
-            step = term[act] * u[act] * ((2.0 * ka - 1.0 + odd[act]) / (2.0 * ka + odd[act]))
+            k += 1
+            step = term[act] * u[act] * ((2.0 * k - 1.0 + odd) / (2.0 * k + odd))
             term[act] = step
             total[act] += step
             act = act[step > tol[act] * total[act]]
@@ -249,59 +261,32 @@ def _t_tail_series(a: np.ndarray, df: np.ndarray) -> np.ndarray:
     return out
 
 
-def _t_tail_integer(a: np.ndarray, df: np.ndarray) -> np.ndarray:
-    out = np.empty_like(a)
-    cauchy = df == 1.0
-    if np.any(cauchy):
-        out[cauchy] = np.arctan2(1.0, a[cauchy]) / math.pi
-    two = df == 2.0
-    if np.any(two):
-        a2 = a[two]
-        with np.errstate(over="ignore"):  # a^2 = inf above 1.3e154 gives a tail of 0
-            r = np.sqrt(2.0 + a2 * a2)
-            out[two] = 1.0 / (r * (r + a2))
-    rest = df >= 3.0
-    if np.any(rest):
-        out[rest] = _t_tail_series(a[rest], df[rest])
-    return out
-
-
-def _t_tail(a: np.ndarray, df: np.ndarray) -> np.ndarray:
+def _t_tail(a: np.ndarray, df: float) -> np.ndarray:
     """Upper tail P(T > a) for a >= 0: the exact kernels for integer df up
     to _T_EXACT_MAX_DF, the continued fraction for every other df."""
-    exact = (df <= _T_EXACT_MAX_DF) & (df == np.floor(df))
-    if np.all(exact):
-        return _t_tail_integer(a, df)
-    out = np.empty_like(a)
-    for lanes, kernel in ((exact, _t_tail_integer), (~exact, _t_tail_beta)):
-        if np.any(lanes):
-            out[lanes] = kernel(a[lanes], df[lanes])
-    return out
+    if df == 1.0:
+        return np.arctan2(1.0, a) / math.pi
+    if df == 2.0:
+        with np.errstate(over="ignore"):  # a^2 = inf above 1.3e154 gives a tail of 0
+            r = np.sqrt(2.0 + a * a)
+            return 1.0 / (r * (r + a))
+    if df <= _T_EXACT_MAX_DF and df == np.floor(df):
+        return _t_tail_series(a, df)
+    return _t_tail_beta(a, df)
 
 
 def student_t_cdf(t, df):
-    """CDF of the central Student t distribution with df > 0.
+    """CDF of the central Student t distribution with one scalar df > 0.
 
     Both tails come from P(T > |t|), so F(t) for t < 0 keeps full
     relative precision however small it is.
     """
-    t_arr, df_arr = _float_arrays(t, df)
-    if not np.all(df_arr > 0.0):
-        raise DomainError("student_t_cdf requires df > 0")
-
-    tail = _t_tail(np.abs(t_arr).reshape(-1), df_arr.reshape(-1)).reshape(t_arr.shape)
+    df = _t_df(df, "student_t_cdf")
+    t_arr = np.asarray(t, dtype=np.float64)
+    tail = _t_tail(np.abs(t_arr).reshape(-1), df).reshape(t_arr.shape)
     out = np.where(t_arr > 0.0, 1.0 - tail, tail)
     out = np.where(t_arr == 0.0, 0.5, out)
-    return _maybe_scalar(out, t, df)
-
-
-def _t_log_pdf(t: np.ndarray, df: np.ndarray) -> np.ndarray:
-    return (
-        _lanczos_ln_gamma((df + 1.0) / 2.0)
-        - _lanczos_ln_gamma(df / 2.0)
-        - 0.5 * np.log(df * math.pi)
-        - 0.5 * (df + 1.0) * np.log1p(t * t / df)
-    )
+    return _maybe_scalar(out, t)
 
 
 def _cauchy_tail_quantile(q: np.ndarray) -> np.ndarray:
@@ -312,7 +297,7 @@ def _cauchy_tail_quantile(q: np.ndarray) -> np.ndarray:
         )
 
 
-def _hill_tail_quantile(q: np.ndarray, df: np.ndarray) -> np.ndarray:
+def _hill_tail_quantile(q: np.ndarray, df: float) -> np.ndarray:
     """Hill (1970, CACM Algorithm 396) approximation to t with P(T > t) = q.
 
     Valid for df >= 1; the normal-expansion branch covers the body, the
@@ -330,7 +315,8 @@ def _hill_tail_quantile(q: np.ndarray, df: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x = _normal_quantile_array(q)
         x2 = x * x
-        c = c + np.where(df < 5.0, 0.3 * (df - 4.5) * (x + 0.6), 0.0)
+        if df < 5.0:
+            c = c + 0.3 * (df - 4.5) * (x + 0.6)
         c = (((0.05 * d * x - 5.0) * x - 7.0) * x - 2.0) * x + b + c
         body = (((((0.4 * x2 + 6.3) * x2 + 36.0) * x2 + 94.5) / c - x2 - 3.0) / b + 1.0) * x
         body = np.expm1(a * body * body)
@@ -338,11 +324,13 @@ def _hill_tail_quantile(q: np.ndarray, df: np.ndarray) -> np.ndarray:
             (1.0 / (((df + 6.0) / (df * y) - 0.089 * d - 0.822) * (df + 2.0) * 3.0)
              + 0.5 / (df + 4.0)) * y - 1.0
         ) * (df + 1.0) / (df + 2.0) + 1.0 / y
-    use_body = (y > 0.05 + a) | ((df < 2.1) & (p2 > 0.5))
+    use_body = y > 0.05 + a
+    if df < 2.1:
+        use_body |= p2 > 0.5
     return np.sqrt(df * np.where(use_body, body, far))
 
 
-def _t_tail_quantile_newton(t0, q, df) -> np.ndarray:
+def _t_tail_quantile_newton(t0: np.ndarray, q: np.ndarray, df: float) -> np.ndarray:
     """Polish t0 towards P(T > t) = q by safeguarded Newton steps.
 
     Only the lanes that have not converged are evaluated (an active set);
@@ -352,7 +340,7 @@ def _t_tail_quantile_newton(t0, q, df) -> np.ndarray:
     hi = t0 + 1.0
     act = np.arange(t0.size)
     for _ in range(200):
-        act = act[student_t_cdf(-hi[act], df[act]) > q[act]]
+        act = act[student_t_cdf(-hi[act], df) > q[act]]
         if not act.size:
             break
         lo[act] = hi[act]
@@ -361,15 +349,20 @@ def _t_tail_quantile_newton(t0, q, df) -> np.ndarray:
     else:
         raise NumericError("student_t_quantile could not bracket the target")
 
+    # ln of the t density's normalizing constant
+    ln_norm = (
+        _lanczos_ln_gamma((df + 1.0) / 2.0) - _lanczos_ln_gamma(df / 2.0) - 0.5 * np.log(df * math.pi)
+    )
     t = np.clip(t0, lo, hi)
     act = np.arange(t0.size)
     for _ in range(100):
-        ta, da, qa = t[act], df[act], q[act]
-        err = student_t_cdf(-ta, da) - qa  # > 0 while ta is short of the root
+        ta, qa = t[act], q[act]
+        err = student_t_cdf(-ta, df) - qa  # > 0 while ta is short of the root
         la = np.where(err > 0.0, ta, lo[act])
         ha = np.where(err < 0.0, ta, hi[act])
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            t_new = ta + err * np.exp(-_t_log_pdf(ta, da))
+            ln_pdf = ln_norm - 0.5 * (df + 1.0) * np.log1p(ta * ta / df)
+            t_new = ta + err * np.exp(-ln_pdf)
         # a step below half an ulp of t leaves t where it is: converged
         done = (np.abs(err) <= 1e-13 * qa) | ((ha - la) <= 1e-15 * np.maximum(1.0, ta)) | (t_new == ta)
         bad = ~np.isfinite(t_new) | (t_new <= la) | (t_new >= ha)
@@ -394,39 +387,33 @@ def student_t_quantile(p, df):
     expansion (df < 1 from the tail's leading term, which overestimates)
     and are polished by Newton steps on the tail.
     """
-    p_in, df_in = _float_arrays(p, np.minimum(df, _T_MAX_DF))
-    if not np.all(df_in > 0.0):
-        raise DomainError("student_t_quantile requires df > 0")
+    df = _t_df(df, "student_t_quantile")
+    p_in = np.asarray(p, dtype=np.float64)
     if not np.all((p_in > 0.0) & (p_in < 1.0)):
         raise DomainError("student_t_quantile requires 0 < p < 1")
 
     pp = p_in.reshape(-1)
-    dfa = df_in.reshape(-1)
     q = np.minimum(pp, 1.0 - pp)  # 1 - p is exact for p >= 1/2
-
-    t = _cauchy_tail_quantile(q)
-    two = dfa == 2.0
-    if np.any(two):
-        q2 = q[two]
-        t[two] = (1.0 - 2.0 * q2) / np.sqrt(2.0 * q2 * (1.0 - q2))
-    hill = (dfa > 1.0) & ~two
-    if np.any(hill):
-        t[hill] = _hill_tail_quantile(q[hill], dfa[hill])
-    heavy = dfa < 1.0
-    if np.any(heavy):
-        # q = df^(df/2 - 1) t^-df / B(df/2, 1/2), beyond 1e308 for tiny q
-        qh, dh = q[heavy], dfa[heavy]
-        with np.errstate(over="ignore"):
-            t[heavy] = np.exp(
-                ((0.5 * dh - 1.0) * np.log(dh) - _ln_beta(0.5 * dh, 0.5) - np.log(qh)) / dh
-            )
-    solve = np.flatnonzero((dfa != 1.0) & ~two & (q < 0.5))
-    if solve.size:
-        t[solve] = _t_tail_quantile_newton(t[solve], q[solve], dfa[solve])
-    t[q == 0.5] = 0.0
+    if df == 1.0:
+        t = _cauchy_tail_quantile(q)
+    elif df == 2.0:
+        t = (1.0 - 2.0 * q) / np.sqrt(2.0 * q * (1.0 - q))
+    else:
+        t = np.zeros_like(q)  # the median, at q = 1/2
+        solve = np.flatnonzero(q < 0.5)
+        if solve.size:
+            qs = q[solve]
+            if df > 1.0:
+                seed = _hill_tail_quantile(qs, df)
+            else:
+                # q = df^(df/2 - 1) t^-df / B(df/2, 1/2), beyond 1e308 for tiny q
+                ln_front = (0.5 * df - 1.0) * np.log(df) - _ln_beta(0.5 * df, 0.5)
+                with np.errstate(over="ignore"):
+                    seed = np.exp((ln_front - np.log(qs)) / df)
+            t[solve] = _t_tail_quantile_newton(seed, qs, df)
 
     out = np.where(pp < 0.5, -t, t).reshape(p_in.shape)
-    return _maybe_scalar(out, p, df)
+    return _maybe_scalar(out, p)
 
 
 # --- standard normal ----------------------------------------------------

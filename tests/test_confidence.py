@@ -101,6 +101,13 @@ class TestConditionalPosterior:
         with pytest.raises(DomainError, match=r"^ConditionalPosterior requires a finite scale > 0"):
             ConditionalPosterior(center=1.0, scale=np.inf, df=3.0)
 
+    @pytest.mark.parametrize("df", [np.array([3.0, 4.0]), np.array([3.0])])
+    def test_rejects_an_array_df(self, df):
+        # a one-element df would make conditional_quantile return a
+        # one-element array instead of a float
+        with pytest.raises(DomainError, match=r"^ConditionalPosterior takes one scalar df, got an array"):
+            ConditionalPosterior(center=0.0, scale=1.0, df=df)
+
 
 class TestConditionalCdf:
     def test_median_at_center(self):

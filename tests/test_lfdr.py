@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lfdrshrink.errors import DataError, FitError
+from lfdrshrink.errors import DataError, DomainError, FitError
 from lfdrshrink.lfdr import (
     MIN_FEATURES,
     MixtureFit,
@@ -178,6 +178,11 @@ class TestFitMixture:
     def test_rejects_nonfinite(self):
         with pytest.raises(DataError):
             ZVector(np.array([0.0, np.inf]), 1.0)
+
+    @pytest.mark.parametrize("df", [np.array([3.0, 4.0]), np.array([3.0])])
+    def test_rejects_an_array_df(self, df):
+        with pytest.raises(DomainError, match=r"^ZVector takes one scalar df, got an array"):
+            ZVector(np.zeros(3), df)
 
 
 def null_grid(scale: float = 1.0, size: int = 20000) -> np.ndarray:

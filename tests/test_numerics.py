@@ -16,6 +16,7 @@ from scipy import integrate, stats
 from scipy.special import ndtr, ndtri
 
 from lfdrshrink.errors import DomainError
+from lfdrshrink.lfdr import probit_transform
 from lfdrshrink.numerics import (
     _ln_beta,
     normal_pdf,
@@ -153,7 +154,7 @@ class TestStudentTCdf:
         rng = np.random.default_rng(7)
         t = rng.uniform(-20.0, 20.0, 1000)
         df = rng.uniform(0.5, 500.0, 1000)
-        total = student_t_cdf(t, df) + student_t_cdf(-t, df)
+        total = [student_t_cdf(a, d) + student_t_cdf(-a, d) for a, d in zip(t, df)]
         np.testing.assert_allclose(total, 1.0, atol=1e-12)
 
     def test_monotone_in_t(self):
@@ -177,8 +178,11 @@ class TestStudentTCdf:
         np.testing.assert_allclose(student_t_cdf(t, 1.0), closed, atol=1e-12)
 
     def test_rejects_bad_df(self):
-        with pytest.raises(DomainError):
-            student_t_cdf(1.0, 0.0)
+        for df in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError, match=r"^student_t_cdf requires df > 0"):
+                student_t_cdf(1.0, df)
+            with pytest.raises(DomainError, match=r"^student_t_quantile requires df > 0"):
+                student_t_quantile(0.3, df)
 
     def test_lower_tail_relative_error_integer_df(self):
         # the continued fraction this kernel replaced reached 6.4e-14
@@ -322,6 +326,30 @@ class TestStudentTQuantile:
         assert -8.4e307 < q < -7.1e307
         assert float(t_tail_mpmath(q, 0.5)) == pytest.approx(3.6e-155, rel=1e-12)
 
+    def test_df_four_against_the_closed_form(self):
+        # df = 4 gives Hill's seed (d p2) ** (2 / df) the exponent 1/2, which
+        # numpy evaluates as a square root. The reference is the closed form
+        # t = -2 sqrt(s - 1), s = cos(acos(sqrt(a)) / 3) / sqrt(a), a = 4 p (1 - p)
+        # (Shaw 2006), at 40 digits. Within about 1e-4 of p = 1/2 the Newton
+        # stop on the absolute tail error leaves up to Hill's 4.6e-8 relative
+        # error in t, so the relative check stops at 0.499.
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(44)
+        p = np.concatenate([
+            10.0 ** -np.arange(1.0, 301.0),
+            10.0 ** rng.uniform(-300.0, math.log10(0.499), 2000),
+            np.linspace(0.1, 0.499, 400),
+        ])
+        with mp.workdps(40):
+            def closed_form(v):
+                a = 4 * mp.mpf(v) * (1 - mp.mpf(v))
+                return float(-2 * mp.sqrt(mp.cos(mp.acos(mp.sqrt(a)) / 3) / mp.sqrt(a) - 1))
+            ref = np.array([closed_form(v) for v in p])
+        got = student_t_quantile(p, 4.0)
+        rel = np.abs(got - ref) / np.abs(ref)
+        assert rel.max() <= 1e-13, (p[rel.argmax()], rel.max())
+        assert student_t_quantile(0.5, 4.0) == 0.0
+
 
 class TestNormal:
     def test_quantile_center(self):
@@ -389,14 +417,23 @@ class TestVectorizationAndPurity:
         # above its bound) mixed into the same arrays
         t = np.concatenate([t, rng.uniform(-30.0, 30.0, 40), [-1e6, 1e-6, 0.0]])
         df = np.concatenate([df, rng.integers(1, 80, 40).astype(float), [3.0, 7.0, 2.0]])
-        vec = student_t_cdf(t, df)
-        scal = np.array([student_t_cdf(float(a), float(b)) for a, b in zip(t, df)])
+        # one call per df over every lane: each lane whose draw has that df
+        # must equal its own scalar call
+        def per_df(fn, x):
+            vec, scal = np.empty_like(x), np.empty_like(x)
+            for d in np.unique(df):
+                lanes = df == d
+                vec[lanes] = fn(x, d)[lanes]
+                scal[lanes] = [fn(float(a), float(d)) for a in x[lanes]]
+            return vec, scal
+
+        vec, scal = per_df(student_t_cdf, t)
         np.testing.assert_array_equal(vec, scal)
 
-        p = student_t_cdf(np.abs(t) / 3.0, df) - rng.uniform(0.0, 0.5, t.size)
+        cdf = np.array([student_t_cdf(a, d) for a, d in zip(np.abs(t) / 3.0, df)])
+        p = cdf - rng.uniform(0.0, 0.5, t.size)
         p = np.clip(p, 1e-20, 1.0 - 1e-12)
-        vec = student_t_quantile(p, df)
-        scal = np.array([student_t_quantile(float(a), float(b)) for a, b in zip(p, df)])
+        vec, scal = per_df(student_t_quantile, p)
         np.testing.assert_array_equal(vec, scal)
 
     def test_scalar_inputs_return_floats(self):
@@ -409,3 +446,42 @@ class TestVectorizationAndPurity:
         args = (0.123456, 7.0)
         assert student_t_cdf(*args) == student_t_cdf(*args)
         assert student_t_quantile(0.321, 3.0) == student_t_quantile(0.321, 3.0)
+
+
+class TestScalarDf:
+    # every feature of one analysis shares df = n - 1, so df is one scalar
+    # per call and the t kernels pick their path once for every lane
+    @pytest.mark.parametrize("df", [np.array([3.0]), np.array([3.0, 4.0])])
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("student_t_cdf", lambda df: student_t_cdf(np.array([-1.0, 2.0]), df)),
+            ("student_t_quantile", lambda df: student_t_quantile(np.array([0.1, 0.7]), df)),
+            ("probit_transform", lambda df: probit_transform(np.array([-1.0, 2.0]), df)),
+        ],
+    )
+    def test_array_df_is_a_domain_error(self, name, call, df):
+        with pytest.raises(DomainError, match=rf"^{name} takes one scalar df, got an array"):
+            call(df)
+
+    @pytest.mark.parametrize(
+        "df, same",
+        [
+            (3, 3.0),
+            (np.float64(2.5), 2.5),
+            (np.array(7.0), 7.0),
+            (np.array(0.5), 0.5),
+            (math.inf, 1e150),
+            (np.float64(math.inf), 1e150),
+            (np.array(math.inf), 1e150),
+        ],
+    )
+    def test_scalar_forms_give_the_float_bits(self, df, same):
+        t = np.array([-1e3, -4.0, -0.3, 0.0, 1e-6, 2.0, 40.0])
+        p = np.array([1e-300, 1e-9, 0.02, 0.5, 0.7, 1.0 - 1e-12])
+        np.testing.assert_array_equal(student_t_cdf(t, df), student_t_cdf(t, same))
+        np.testing.assert_array_equal(student_t_quantile(p, df), student_t_quantile(p, same))
+        np.testing.assert_array_equal(probit_transform(t, df), probit_transform(t, same))
+        assert student_t_cdf(-2.0, df) == student_t_cdf(-2.0, same)
+        assert isinstance(student_t_cdf(-2.0, df), float)
+        assert isinstance(student_t_quantile(0.2, df), float)
