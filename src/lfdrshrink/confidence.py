@@ -65,11 +65,29 @@ class ConditionalPosterior:
     df: float
 
     def __post_init__(self):
+        _scalar_fields(self, "center", "scale", "df")
         if not math.isfinite(self.center):
             raise DomainError(f"ConditionalPosterior requires a finite center, got {self.center}")
         if not (math.isfinite(self.scale) and self.scale > 0.0):
             raise DomainError(f"ConditionalPosterior requires a finite scale > 0, got {self.scale}")
         _t_df(self.df, "ConditionalPosterior")
+
+
+def _scalar_fields(obj, *names: str) -> None:
+    """Store each named field of the frozen dataclass ``obj`` that holds a
+    numpy scalar or 0-d array as a float. A field that holds an array, even
+    of one element, is a DomainError that names the class and the field."""
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) is float:  # the common case; np.ndim costs ~1 us a call
+            continue
+        if np.ndim(value) != 0:
+            raise DomainError(
+                f"{type(obj).__name__} takes one scalar {name}, "
+                f"got an array of shape {np.shape(value)}"
+            )
+        if isinstance(value, (np.ndarray, np.generic)):
+            object.__setattr__(obj, name, float(value))
 
 
 # numpy sums fewer than this many values in order, so below it the column

@@ -3,6 +3,11 @@ conditional t posterior, weighted by the feature's local false discovery
 rate. Shrunken quantiles, intervals, medians, and observed confidence
 levels all derive from inverting its CDF.
 
+A ``MarginalPosterior`` evaluates F0, the conditional CDF at theta0, and
+its observed confidence levels once, the first time one of the functions
+below needs them; its quantiles reuse them, and ``shrunken_interval``
+solves both of its ends in one call of the t quantile.
+
 ``shrink`` runs the whole pipeline on a matrix of replicate differences.
 ``confidence.summarize`` and the scalar functions here are batch-of-one
 calls of its steps, so a per-feature loop reproduces its columns bit for bit.
@@ -19,10 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .confidence import ConditionalPosterior, _t_summaries, conditional_cdf
+from .confidence import ConditionalPosterior, _scalar_fields, _t_summaries, conditional_cdf
 from .errors import DomainError
 from .lfdr import DEFAULT_BINS, DEFAULT_DEGREE, MixtureFit, ZVector, _probit, fit_mixture, lfdr_at
 from .numerics import student_t_cdf, student_t_quantile
@@ -52,10 +58,19 @@ class MarginalPosterior:
     conditional: ConditionalPosterior
 
     def __post_init__(self):
+        _scalar_fields(self, "lfdr", "theta0")
         if not 0.0 <= self.lfdr <= 1.0:
             raise DomainError("MarginalPosterior requires lfdr in [0, 1]")
         if not math.isfinite(self.theta0):
             raise DomainError(f"MarginalPosterior requires a finite theta0, got {self.theta0}")
+
+    @cached_property
+    def _levels(self) -> tuple[float, float, float]:
+        """The observed confidence levels below, at and above theta0, from
+        one evaluation of F0; not a field, so not part of ==, hash or repr."""
+        cp = self.conditional
+        f_at_null = _conditional_at_null(cp.center, cp.scale, cp.df, self.theta0)
+        return _confidence_levels(self.lfdr, f_at_null)
 
 
 @dataclass(frozen=True)
@@ -253,27 +268,38 @@ def marginal_quantile_batch(
 
 
 def _marginal_quantile(lf, center, scale, df, theta0, alpha, below, above) -> np.ndarray:
-    """``marginal_quantile_batch`` on arrays of one shape, given the
-    observed confidence levels ``below`` and ``above`` theta0."""
+    """``marginal_quantile_batch`` given the observed confidence levels
+    ``below`` and ``above`` theta0: elementwise over features whose lf,
+    center, scale and levels are arrays of one shape at one alpha, or over
+    an array of alphas for one feature whose arguments are scalars."""
     keep = 1.0 - lf
     low = alpha < below
     with np.errstate(divide="ignore"):
         p = np.where(low, alpha / keep, 1.0 - (1.0 - alpha) / keep)
     solve = (low | (1.0 - alpha < above)) & (p > 0.0) & (p < 1.0)
-    q = center[solve] + scale[solve] * student_t_quantile(p[solve], df)
-    out = np.full(lf.shape, float(theta0))
-    out[solve] = np.where(low[solve], np.minimum(q, theta0), np.maximum(q, theta0))
+    out = np.full(p.shape, theta0, dtype=np.float64)
+    if solve.any():
+        center, scale = (np.broadcast_to(x, p.shape)[solve] for x in (center, scale))
+        q = center + scale * student_t_quantile(p[solve], df)
+        out[solve] = np.where(low[solve], np.minimum(q, theta0), np.maximum(q, theta0))
     return out
 
 
-def _quantile(mp: MarginalPosterior, alpha: float) -> float:
+def _quantiles(mp: MarginalPosterior, alphas) -> np.ndarray:
+    """The marginal quantiles of ``mp`` at the sequence ``alphas``, from
+    its cached levels and one t quantile call over the alphas off the atom;
+    the t quantile is lane-independent, so each equals its own call."""
     cp = mp.conditional
-    return marginal_quantile_batch(mp.lfdr, cp.center, cp.scale, cp.df, mp.theta0, alpha)
+    below, _, above = mp._levels
+    alphas = np.array(alphas, dtype=np.float64)
+    return _marginal_quantile(mp.lfdr, cp.center, cp.scale, cp.df, mp.theta0, alphas, below, above)
 
 
 def marginal_quantile(mp: MarginalPosterior, alpha: float) -> float:
     """Generalized inverse of the marginal CDF at alpha in (0, 1)."""
-    return _quantile(mp, alpha)
+    if not 0.0 < alpha < 1.0:
+        raise DomainError("marginal quantile requires 0 < alpha < 1")
+    return float(_quantiles(mp, (alpha,))[0])
 
 
 def shrunken_interval(
@@ -284,8 +310,7 @@ def shrunken_interval(
         raise DomainError("shrunken_interval requires alpha1, alpha2 in (0, 1)")
     if not alpha1 + alpha2 < 1.0:
         raise DomainError("shrunken_interval requires alpha1 + alpha2 < 1")
-    lower = _quantile(mp, alpha1)
-    upper = _quantile(mp, 1.0 - alpha2)
+    lower, upper = (float(q) for q in _quantiles(mp, (alpha1, 1.0 - alpha2)))
     return ShrunkenInterval(
         level=1.0 - alpha1 - alpha2,
         lower=lower,
@@ -296,7 +321,7 @@ def shrunken_interval(
 
 def posterior_median(mp: MarginalPosterior) -> float:
     """Shrunken point estimate: the 50% quantile of the mixture."""
-    return _quantile(mp, 0.5)
+    return float(_quantiles(mp, (0.5,))[0])
 
 
 def posterior_mean(mp: MarginalPosterior) -> float:
@@ -320,7 +345,5 @@ def _confidence_levels(lfdr, f_at_null):
 
 def observed_confidence_levels(mp: MarginalPosterior) -> ObservedConfidenceLevels:
     """Posterior probabilities that the mean is below/at/above theta0."""
-    cp = mp.conditional
-    f_at_null = _conditional_at_null(cp.center, cp.scale, cp.df, mp.theta0)
-    below, at_null, above = _confidence_levels(mp.lfdr, f_at_null)
+    below, at_null, above = mp._levels
     return ObservedConfidenceLevels(below=below, at_null=at_null, above=above)

@@ -1,8 +1,11 @@
 """Tests for the atom-plus-continuous marginal posterior."""
 
 import dataclasses
+import itertools
+import pickle
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,7 +150,26 @@ class TestBatchQuantile:
                     for i in range(200)
                 ]
             )
-            np.testing.assert_allclose(batch, single, atol=1e-12)
+            np.testing.assert_array_equal(batch, single)
+
+    def test_two_lane_interval_matches_two_quantile_calls(self):
+        # shrunken_interval solves both ends in one t quantile call, which
+        # must equal one call per end bit for bit
+        rng = np.random.default_rng(24)
+        lf = rng.uniform(0.0, 1.0, 100)
+        centers = rng.uniform(-4.0, 4.0, 100)
+        scales = np.exp(rng.uniform(np.log(0.1), np.log(3.0), 100))
+        both_solved = 0
+        for i in range(100):
+            for df in (1.0, 3.0, 7.0):
+                for a1, a2 in ((0.025, 0.025), (0.05, 0.1), (0.3, 0.01)):
+                    args = (lf[i], 0.25, centers[i], scales[i], df)
+                    si = shrunken_interval(make_mp(*args), a1, a2)
+                    lower = marginal_quantile(make_mp(*args), a1)
+                    upper = marginal_quantile(make_mp(*args), 1.0 - a2)
+                    assert (si.lower, si.upper) == (lower, upper), (args, a1, a2)
+                    both_solved += lower != 0.25 and upper != 0.25
+        assert both_solved > 300  # 336 of the 900 intervals
 
     def test_handles_unit_lfdr(self):
         out = marginal_quantile_batch(
@@ -248,6 +270,39 @@ class TestShrink:
         # the marginal quantiles and levels are not all at the atom
         assert np.any(shrunk.median_marginal != theta0)
         assert np.any(shrunk.conf_at_null < 1.0)
+
+    def test_readme_library_block_matches_shrink(self):
+        # runs the README's per-feature Library block itself, so the test
+        # cannot drift from it; its print calls are captured
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+        (block,) = [b for b in blocks if "MarginalPosterior" in b]
+        rng = np.random.default_rng(39)
+        shift = np.where(rng.random(300) < 0.8, 0.0, rng.choice([-2.0, 2.0], 300))
+        rows = shift[:, None] + rng.standard_normal((300, 4))
+        printed = []
+        exec(block, {"features": [(f"g{i}", row) for i, row in enumerate(rows)],
+                     "print": lambda *args: printed.append(args)})
+        shrunk = shrink(rows, 0.0, 0.95)
+        assert len(printed) == 3 * 300
+        (conditional,) = zip(*printed[0::3])
+        median, interval = zip(*printed[1::3])
+        (levels,) = zip(*printed[2::3])
+        columns = {
+            "ci_lo_conditional": [ci[0] for ci in conditional],
+            "ci_hi_conditional": [ci[1] for ci in conditional],
+            "median_marginal": median,
+            "ci_lo_marginal": [si.lower for si in interval],
+            "ci_hi_marginal": [si.upper for si in interval],
+            "conf_below": [x.below for x in levels],
+            "conf_at_null": [x.at_null for x in levels],
+            "conf_above": [x.above for x in levels],
+        }
+        for name, column in columns.items():
+            assert getattr(shrunk, name).tobytes() == np.array(column).tobytes(), name
+        # the block reaches both sides of the atom and the atom itself
+        assert np.any(shrunk.median_marginal < 0.0) and np.any(shrunk.median_marginal > 0.0)
+        assert np.any(shrunk.median_marginal == 0.0)
 
     def test_many_replicates_give_the_true_z(self):
         # 200 replicates give df = 199, past the exact t kernels; the t tail
@@ -357,6 +412,106 @@ class TestMarginalPosterior:
         # a NaN theta0 used to give NaN medians and a non-degenerate interval
         with pytest.raises(DomainError, match=r"^MarginalPosterior requires a finite theta0"):
             make_mp(0.2, theta0=theta0)
+
+    @pytest.mark.parametrize("field", ["lfdr", "theta0", "center", "scale"])
+    @pytest.mark.parametrize("value", [np.array([0.5]), np.array([0.5, 0.25])])
+    def test_rejects_an_array_field(self, field, value):
+        # a one-element lfdr used to give one-element medians and interval
+        # ends, and a longer one or an array theta0, center or scale raised
+        # numpy's ValueError or a TypeError; test_confidence covers df
+        fields = {"lfdr": 0.5, "theta0": 0.0, "center": 1.0, "scale": 1.0}
+        fields[field] = value
+        owner = "MarginalPosterior" if field in ("lfdr", "theta0") else "ConditionalPosterior"
+        message = f"{owner} takes one scalar {field}, got an array of shape {value.shape}"
+        with pytest.raises(DomainError, match="^" + re.escape(message) + "$"):
+            make_mp(**fields)
+
+    def test_numpy_scalars_are_stored_as_floats(self):
+        forms = [np.float64(0.5), np.array(0.5), np.float32(0.5)]
+        for value in forms:
+            mp = make_mp(value, theta0=value, center=value, scale=value, df=value)
+            cp = mp.conditional
+            assert all(type(x) is float for x in (mp.lfdr, mp.theta0, cp.center, cp.scale, cp.df))
+            assert mp == make_mp(0.5, 0.5, 0.5, 0.5, 0.5)
+            assert hash(mp) == hash(make_mp(0.5, 0.5, 0.5, 0.5, 0.5))
+        assert type(posterior_median(make_mp(np.array(0.2), center=np.float64(2.0)))) is float
+
+    def test_cached_levels_are_not_part_of_the_value(self):
+        args = (0.3, 0.25, 2.0, 0.7, 3.0)
+        mp = make_mp(*args)
+        before = (mp == make_mp(*args), hash(mp), repr(mp), replace(mp, lfdr=0.6))
+        before_copy = pickle.loads(pickle.dumps(mp))
+        observed_confidence_levels(mp)
+        after = (mp == make_mp(*args), hash(mp), repr(mp), replace(mp, lfdr=0.6))
+        after_copy = pickle.loads(pickle.dumps(mp))
+        assert "_levels" in vars(mp) and "_levels" not in repr(mp)
+        assert before == after and before[0]
+        # the replaced posterior computes its own levels
+        fresh = make_mp(0.6, *args[1:])
+        assert observed_confidence_levels(after[3]) == observed_confidence_levels(fresh)
+        for copy in (before_copy, after_copy):
+            assert copy == mp and hash(copy) == hash(mp) and repr(copy) == repr(mp)
+            assert observed_confidence_levels(copy) == observed_confidence_levels(mp)
+            assert shrunken_interval(copy, 0.025, 0.025) == shrunken_interval(mp, 0.025, 0.025)
+            assert posterior_median(copy) == posterior_median(mp)
+
+
+class TestScalarPosteriorCalls:
+    # lfdr, center: every quantile off the atom; the lower interval end on
+    # the atom and the median and upper end off it; all three on the atom
+    CASES = {"off": (0.1, 1.0), "mixed": (0.1, 3.0), "atom": (0.97, 0.1)}
+
+    def _mp(self, case):
+        lfdr, center = self.CASES[case]
+        return make_mp(lfdr, center=center)
+
+    @staticmethod
+    def _count(monkeypatch):
+        cdf_calls, quantile_lanes = [], []
+
+        def cdf(t, df):
+            cdf_calls.append(np.size(t))
+            return student_t_cdf(t, df)
+
+        def quantile(p, df):
+            quantile_lanes.append(np.size(p))
+            return student_t_quantile(p, df)
+
+        monkeypatch.setattr(posterior, "student_t_cdf", cdf)
+        monkeypatch.setattr(posterior, "student_t_quantile", quantile)
+        return cdf_calls, quantile_lanes
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_one_t_cdf_per_feature_in_any_order(self, monkeypatch, case):
+        cdf_calls, _ = self._count(monkeypatch)
+        calls = (
+            lambda mp: marginal_quantile(mp, 0.3),
+            lambda mp: shrunken_interval(mp, 0.025, 0.025),
+            posterior_median,
+            observed_confidence_levels,
+        )
+        for order in itertools.permutations(calls):
+            mp = self._mp(case)
+            results = [call(mp) for call in order + order]
+            assert results[:4] == results[4:]
+            assert cdf_calls == [1], order
+            cdf_calls.clear()
+
+    @pytest.mark.parametrize("case, lanes", [("off", [2]), ("mixed", [1]), ("atom", [])])
+    def test_interval_solves_its_ends_in_one_call(self, monkeypatch, case, lanes):
+        _, quantile_lanes = self._count(monkeypatch)
+        mp = self._mp(case)
+        si = shrunken_interval(mp, 0.025, 0.025)
+        assert quantile_lanes == lanes
+        assert (si.lower != mp.theta0) + (si.upper != mp.theta0) == sum(lanes)
+
+    def test_no_t_quantile_on_the_atom(self, monkeypatch):
+        cdf_calls, quantile_lanes = self._count(monkeypatch)
+        mp = self._mp("atom")
+        si = shrunken_interval(mp, 0.025, 0.025)
+        assert si.degenerate and posterior_median(mp) == mp.theta0
+        assert marginal_quantile(mp, 0.3) == mp.theta0
+        assert quantile_lanes == [] and cdf_calls == [1]
 
 
 class TestShrunkenInterval:
